@@ -1,15 +1,28 @@
-"""Machine-word kernels for binary truth tables.
+"""Truth-table kernels: the restriction lattice and binary word helpers.
 
-A binary (k=2) truth table of arity n is packed into a Python int: bit i of
-the word is the function value at table index i, index = sum a_j * 2^(j-1)
-(variable 1 is the least significant index bit).  All kernels below work on
-plain ints, so they are usable both on single functions and inside the tight
-loops of exhaustive space scans.
+Restrictions keep the arity and fixing an inessential variable changes
+nothing, so Sub(f) is exactly the set of the (k+1)^n partial-assignment
+restrictions of f.  `restrictions` builds them for a batch of uint8 tables,
+row rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
+per-function measure is read off that lattice.
+
+A binary truth table is also packed into a Python int: bit i of the word is
+the value at table index i = sum a_j * 2^(j-1).  The word helpers back
+`KFunction`'s own essential-variable and cofactor code, which stays
+independent of the lattice it cross-checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+#: Functions per kernel call in the batch paths; larger blocks only cost memory.
+BLOCK = 256
+#: Single-function lattices kept, so one function's measures share one.
+LATTICE_CACHE = 16
 
 
 @lru_cache(maxsize=None)
@@ -62,48 +75,149 @@ def cofactor_word(w: int, n: int, i: int, c: int) -> int:
     return half | (half >> s)
 
 
-@lru_cache(maxsize=None)
-def _var_masks(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((1 << i, low_mask(n, i + 1)) for i in range(n))
+# ---------------------------------------------------------------------------
+# the restriction lattice
+# ---------------------------------------------------------------------------
+
+class Lattice(NamedTuple):
+    """Restrictions of a batch of functions, with their essential masks."""
+
+    tables: np.ndarray  # (N, (k+1)^m, k^n) uint8, row 0 = the function
+    keys: np.ndarray    # (N, (k+1)^m), equal exactly where the tables are
+    masks: np.ndarray   # (N, (k+1)^m) int64, bit i set iff x_{i+1} essential
+    variables: tuple[int, ...]  # the m varied bits, lowest digit first
+
+
+@lru_cache(maxsize=LATTICE_CACHE)
+def _zeroed(k: int, n: int) -> np.ndarray:
+    """(n, k^n): row i maps each cell to the cell with x_{i+1} := 0."""
+    cells = np.arange(k ** n)
+    step = k ** np.arange(n)[:, None]
+    return cells - cells // step % k * step
+
+
+def essential_masks(tables: np.ndarray, k: int, n: int) -> np.ndarray:
+    """(N,) essential-variable masks of (N, k^n) tables: bit i is set iff
+    some cell differs from the cell with x_{i+1} := 0."""
+    differs = (tables[:, _zeroed(k, n)] != tables[:, None, :]).any(axis=2)
+    return (differs.astype(np.int64) << np.arange(n)).sum(axis=1)
+
+
+def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
+    """One scalar per table, as a machine word where the table fits one."""
+    cells = rows.shape[-1]
+    if k == 2 and cells in (8, 16, 32, 64):
+        packed = np.packbits(rows.reshape(-1), bitorder="little")
+        return packed.view(f"<u{cells // 8}").reshape(rows.shape[:-1])
+    return np.ascontiguousarray(rows).view(f"V{cells}")[..., 0]
+
+
+def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
+    """The restriction lattice of each row of `tables` (N, k^n) uint8.
+
+    Row rho has base-(k+1) digit 0 (x free) or c+1 (x = c) per listed
+    variable; the others stay free, which loses nothing where they are
+    inessential.  x is essential in a row iff fixing it to 0 changes it.
+    """
+    variables = tuple(variables)
+    rows = tables[:, None, :]
+    for i in variables:
+        view = rows.reshape(rows.shape[:2] + (-1, k, k ** i))
+        fixed = [view[:, :, :, c:c + 1].repeat(k, axis=3) for c in range(k)]
+        rows = np.concatenate([view, *fixed], axis=1).reshape(
+            len(tables), -1, tables.shape[1])
+    keys = _row_keys(rows, k)
+    masks = np.zeros(keys.shape, dtype=np.int64)
+    index = np.arange(keys.shape[1])
+    for digit, i in enumerate(variables):  # one at a time: O(rows) memory
+        step = (k + 1) ** digit
+        zero = np.where(index // step % (k + 1) == 0, index + step, index)
+        masks |= (keys != keys[:, zero]).astype(np.int64) << i
+    return Lattice(rows, keys, masks, variables)
+
+
+def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
+    """(N, k^n) uint8 tables of the functions with the given ids."""
+    ids = np.asarray(ids, dtype=np.uint64)[:, None]
+    weights = np.uint64(k) ** np.arange(k ** n, dtype=np.uint64)
+    return (ids // weights % np.uint64(k)).astype(np.uint8)
+
+
+def distinct(lattice: Lattice) -> np.ndarray:
+    """(N, rows) bool: True on one row of each distinct table of a function."""
+    order = np.argsort(lattice.keys, axis=1)
+    fn = np.arange(len(order))[:, None]
+    ordered = lattice.keys[fn, order]
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    out = np.empty_like(new)
+    out[fn, order] = new
+    return out
+
+
+def sub_counts(lattice: Lattice, n: int) -> np.ndarray:
+    """(N, n+1): (sub_0, ..., sub_n), distinct subfunctions by essential arity."""
+    count = lattice.masks.shape[0]
+    slot = (np.arange(count)[:, None] * (n + 1)
+            + np.bitwise_count(lattice.masks))[distinct(lattice)]
+    return np.bincount(slot, minlength=count * (n + 1)).reshape(count, n + 1)
+
+
+def sep_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    """(N, n): (sep_1, ..., sep_n), distinct non-empty essential sets by size."""
+    present = np.zeros((masks.shape[0], 1 << n), dtype=np.int64)
+    present[np.arange(masks.shape[0])[:, None], masks] = 1
+    sizes = np.bitwise_count(np.arange(1, 1 << n))
+    return present[:, 1:] @ (sizes[:, None] == np.arange(1, n + 1))
+
+
+@lru_cache(maxsize=LATTICE_CACHE)
+def _imp_levels(m: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Binary lattice rows with two free variables or more, by that count,
+    with their children rho[x := 0] and rho[x := 1] per digit; children of
+    a fixed digit are clipped into range (its essential bit is 0)."""
+    rows = np.arange(3 ** m)
+    step = 3 ** np.arange(m)[:, None]
+    free = (rows // step % 3 == 0).sum(axis=0)
+    return [(level, np.minimum(level + step, rows[-1]),
+             np.minimum(level + 2 * step, rows[-1]))
+            for level in (rows[free == count] for count in range(2, m + 1))]
+
+
+def imp_counts(lattice: Lattice) -> np.ndarray:
+    """(N,) imp of binary functions, level by level over free variables:
+    1 at ess 0, 2 at ess 1, else the sum over essential x of
+    imp(rho[x := 0]) + imp(rho[x := 1])."""
+    masks, bits = lattice.masks, np.array(lattice.variables, np.int64)[:, None]
+    ess = np.bitwise_count(masks)
+    imp = np.where(ess == 0, 1, 2).astype(np.int64)
+    for level, zero, one in _imp_levels(len(lattice.variables)):
+        kids = ((masks[:, None, level] >> bits) & 1) * (imp[:, zero] + imp[:, one])
+        imp[:, level] = np.where(ess[:, level] >= 2, kids.sum(axis=1),
+                                 imp[:, level])
+    return imp[:, 0]
+
+
+@lru_cache(maxsize=LATTICE_CACHE)
+def function_lattice(f) -> Lattice:
+    """The lattice of one `KFunction` over its essential variables only."""
+    table = np.frombuffer(f.values, np.uint8)[None]
+    mask = int(essential_masks(table, f.k, f.n)[0])
+    lattice = restrictions(table, f.k, [i for i in range(f.n) if mask >> i & 1])
+    for array in lattice[:3]:  # every caller gets the same arrays
+        array.flags.writeable = False
+    return lattice
 
 
 def sub_closure_word(w: int, n: int) -> dict[int, int]:
-    """All subfunction tables of w with their essential-variable masks.
-
-    Closure of repeatedly fixing a currently-essential variable to 0/1;
-    includes w itself.  Keys are table words, values essential masks
-    (bit i-1 set iff variable i essential).  This is the hot kernel of the
-    space scans, hence the inlined cofactor arithmetic.
-    """
-    masks = _var_masks(n)
-    seen: dict[int, int] = {}
-    stack = [w]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        ess = 0
-        for s, lo in masks:
-            if (cur ^ (cur >> s)) & lo:
-                ess |= s
-                h = cur & lo
-                sub = h | (h << s)
-                if sub not in seen:
-                    stack.append(sub)
-                h = (cur >> s) & lo
-                sub = h | (h << s)
-                if sub not in seen:
-                    stack.append(sub)
-        seen[cur] = ess
-    return seen
+    """Sub(w) as {table word: essential mask (bit i-1 for variable i)}."""
+    lattice = restrictions(tables_from_ids([w], 2, n), 2, range(n))
+    keep = distinct(lattice)[0]
+    return {word_from_values(row): mask for row, mask in zip(
+        lattice.tables[0][keep], lattice.masks[0][keep].tolist())}
 
 
 def sep_profile_word(w: int, n: int) -> tuple[int, ...]:
     """(sep_1, ..., sep_n): separable-set counts by cardinality."""
-    masks = set(sub_closure_word(w, n).values())
-    masks.discard(0)
-    prof = [0] * n
-    for m in masks:
-        prof[bin(m).count("1") - 1] += 1
-    return tuple(prof)
-
+    masks = restrictions(tables_from_ids([w], 2, n), 2, range(n)).masks
+    return tuple(sep_counts(masks, n)[0].tolist())

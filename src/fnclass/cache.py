@@ -6,24 +6,20 @@ variable, or ~/.cache/fnclass):
     classify_<relation>_k<k>n<n>_v<version>.json   sealed classification reports
     scan5_ge_ckpt.npz                              resumable transversal state
     scan5_ge_transversal.npz                       finished orbit transversal
-    *.fncp                                         bit-packed class-count files
 
-The .fncp binary format: magic "FNCP", then little-endian u16 version, u16 k,
-u16 n, u16 profile length, u32 class count; per class, the profile components
-as u32 each followed by the count as u64.
+Every file is written to a temporary name and then renamed over its final
+name, so an interrupted write never leaves a torn file behind.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from pathlib import Path
 
-CODE_VERSION = 1
+import numpy as np
 
-_MAGIC = b"FNCP"
-_FORMAT_VERSION = 1
+CODE_VERSION = 1
 
 
 def cache_dir(explicit: str | None = None) -> Path:
@@ -52,31 +48,8 @@ def load_json(path: Path) -> dict | None:
     return json.loads(path.read_text())
 
 
-def save_profile_counts(path: Path, k: int, n: int,
-                        counts: dict[tuple[int, ...], int]) -> None:
-    """Write class-count data in the bit-packed .fncp format."""
-    items = sorted(counts.items())
-    plen = len(items[0][0]) if items else 0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HHHHI", _FORMAT_VERSION, k, n, plen, len(items)))
-        for profile, count in items:
-            if len(profile) != plen:
-                raise ValueError("profiles must share one length")
-            fh.write(struct.pack(f"<{plen}IQ", *profile, count))
-
-
-def load_profile_counts(path: Path) -> tuple[int, int, dict[tuple[int, ...], int]]:
-    """Read a .fncp file back as (k, n, {profile: count})."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a profile-count cache file")
-        version, k, n, plen, total = struct.unpack("<HHHHI", fh.read(12))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        rec = struct.Struct(f"<{plen}IQ")
-        counts = {}
-        for _ in range(total):
-            *profile, count = rec.unpack(fh.read(rec.size))
-            counts[tuple(profile)] = count
-    return k, n, counts
+def save_npz(path: Path, **arrays) -> None:
+    """np.savez via a temporary name that ends in .npz, as np.savez wants."""
+    tmp = path.with_name(path.stem + ".tmp.npz")
+    np.savez(tmp, **arrays)
+    os.replace(tmp, path)

@@ -98,20 +98,57 @@ def imp_equivalent_direct(f: KFunction, g: KFunction) -> bool:
 # per-function class keys
 # ---------------------------------------------------------------------------
 
+def _key(rel: str, k: int, row: list[int]) -> tuple:
+    """The class key that one row of the `_block_keys` matrix encodes."""
+    low, *value = row
+    if rel == "sub" and low <= 1:
+        if low == 0:
+            return ("E0",)
+        return ("E1", tuple(v for v in range(k) if value[0] >> v & 1))
+    if low <= 1:
+        return ("E", low)
+    return ("V", value[0]) if rel == "imp" else ("V", *value)
+
+
+def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
+    """Per relation: a block's distinct keys, each key's first position,
+    each function's key index and each key's count.  Below ess 2 a key is
+    ess (plus the range for sub); from 2 up imp, the sub or sep vector,
+    which below ess 2 only depend on ess."""
+    lattice = bitops.restrictions(tables, k, range(n))
+    low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
+    out = {}
+    for rel in relations:
+        if rel == "imp" and k == 2:
+            value = bitops.imp_counts(lattice)[:, None]
+        elif rel == "imp":  # k > 2: enumeration, the ground truth
+            value = np.array([[imp_count(KFunction(k, n, t.tobytes())) if e == 2
+                               else 0] for t, e in zip(tables, low[:, 0])],
+                             dtype=np.int64)
+        elif rel == "sub":  # the range rule for single-variable functions
+            rng = np.bitwise_or.reduce(np.int64(1) << tables, axis=1)
+            value = np.where(low == 1, rng[:, None], bitops.sub_counts(lattice, n))
+        else:
+            value = bitops.sep_counts(lattice.masks, n)
+        uniq, first, inverse, counts = np.unique(
+            np.hstack([low, value]), axis=0, return_index=True,
+            return_inverse=True, return_counts=True)
+        out[rel] = ([_key(rel, k, row) for row in uniq.tolist()], first,
+                    inverse.reshape(-1), counts)
+    return out
+
+
+def _function_key(f: KFunction, rel: str) -> tuple:
+    table = np.frombuffer(f.values, dtype=np.uint8)[None]
+    return _block_keys(table, f.k, f.n, (rel,))[rel][0][0]
+
+
 def sub_key(f: KFunction) -> tuple:
-    ess = f.ess()
-    if ess == 0:
-        return ("E0",)
-    if ess == 1:
-        return ("E1", tuple(sorted(f.range_of())))
-    return ("V",) + sub_vector(f)
+    return _function_key(f, "sub")
 
 
 def sep_key(f: KFunction) -> tuple:
-    ess = f.ess()
-    if ess <= 1:
-        return ("E", ess)
-    return ("V",) + sep_vector(f)
+    return _function_key(f, "sep")
 
 
 def imp_key(f: KFunction) -> tuple:
@@ -124,53 +161,7 @@ def imp_key(f: KFunction) -> tuple:
     finer (214 parts against the reference 104), so the count is the
     operative key and imp_signature remains available as the refinement.
     """
-    ess = f.ess()
-    if ess <= 1:
-        return ("E", ess)
-    return ("V", imp_count(f))
-
-
-_KEY_FUNCS = {"imp": imp_key, "sub": sub_key, "sep": sep_key}
-
-
-def _word_keys(w: int, n: int, relations) -> dict:
-    # k = 2 scan path: the function id IS the packed table word
-    from .diagrams import imp_count_word
-
-    out = {}
-    need_closure = any(rel in ("sub", "sep") for rel in relations)
-    closure = bitops.sub_closure_word(w, n) if need_closure else None
-    ess = bin(bitops.essential_mask(w, n)).count("1")
-    for rel in relations:
-        if rel == "imp":
-            out[rel] = ("E", ess) if ess <= 1 else ("V", imp_count_word(w, n))
-        elif rel == "sub":
-            if ess == 0:
-                out[rel] = ("E0",)
-            elif ess == 1:
-                out[rel] = ("E1", (0, 1))
-            else:
-                prof = [0] * (n + 1)
-                for m in closure.values():
-                    prof[bin(m).count("1")] += 1
-                out[rel] = ("V",) + tuple(prof)
-        else:
-            if ess <= 1:
-                out[rel] = ("E", ess)
-            else:
-                masks = set(closure.values())
-                masks.discard(0)
-                prof = [0] * n
-                for m in masks:
-                    prof[bin(m).count("1") - 1] += 1
-                out[rel] = ("V",) + tuple(prof)
-    return out
-
-
-def function_keys(f: KFunction, relations=RELATIONS) -> dict:
-    if f.k == 2:
-        return _word_keys(f.word, f.n, relations)
-    return {rel: _KEY_FUNCS[rel](f) for rel in relations}
+    return _function_key(f, "imp")
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +230,31 @@ def _profile_extra(relation: str, rep: KFunction) -> dict:
     return {}
 
 
-def _scan_chunk(args) -> dict:
-    k, n, start, stop, relations = args
+def merge_class_counts(into: dict, part: dict) -> None:
+    """Fold `part`'s {key: [count, min representative]} buckets into `into`."""
+    for key, (cnt, rep) in part.items():
+        entry = into.setdefault(key, [0, rep])
+        entry[0] += cnt
+        entry[1] = min(entry[1], rep)
+
+
+def _scan_chunk(args) -> tuple[dict, dict]:
+    """{rel: {key: [count, min id]}} over ids [start, stop), bitops.BLOCK at a
+    time, and if `keep` is set {rel: [(keys, key index per function)]}."""
+    k, n, start, stop, relations, keep = args
     buckets: dict[str, dict] = {rel: {} for rel in relations}
-    for ident in range(start, stop):
-        if k == 2:
-            keys = _word_keys(ident, n, relations)
-        else:
-            keys = function_keys(KFunction.from_id(ident, k, n), relations)
-        for rel in relations:
-            key = keys[rel]
-            entry = buckets[rel].get(key)
-            if entry is None:
-                buckets[rel][key] = [1, ident]
-            else:
-                entry[0] += 1
-    return buckets
+    labels: dict[str, list] = {rel: [] for rel in relations}
+    for lo in range(start, stop, bitops.BLOCK):
+        tables = bitops.tables_from_ids(
+            np.arange(lo, min(lo + bitops.BLOCK, stop)), k, n)
+        for rel, (keys, first, inverse, counts) in _block_keys(
+                tables, k, n, relations).items():
+            merge_class_counts(buckets[rel], {
+                key: [int(cnt), lo + int(pos)]
+                for key, pos, cnt in zip(keys, first, counts)})
+            if keep:
+                labels[rel].append((keys, inverse))
+    return buckets, labels
 
 
 def scan_space(k: int, n: int, relations=RELATIONS, jobs: int = 1,
@@ -268,47 +268,24 @@ def scan_space(k: int, n: int, relations=RELATIONS, jobs: int = 1,
 
     if jobs > 1 and size >= 1 << 12 and not keep_assignment:
         chunk = (size + jobs - 1) // jobs
-        tasks = [(k, n, lo, min(lo + chunk, size), relations)
+        tasks = [(k, n, lo, min(lo + chunk, size), relations, False)
                  for lo in range(0, size, chunk)]
         buckets: dict[str, dict] = {rel: {} for rel in relations}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_chunk, tasks):
+            for part, _ in pool.map(_scan_chunk, tasks):
                 for rel in relations:
-                    for key, (cnt, rep) in part[rel].items():
-                        entry = buckets[rel].get(key)
-                        if entry is None:
-                            buckets[rel][key] = [cnt, rep]
-                        else:
-                            entry[0] += cnt
-                            entry[1] = min(entry[1], rep)
-        assign = {rel: None for rel in relations}
+                    merge_class_counts(buckets[rel], part[rel])
     else:
-        buckets = {rel: {} for rel in relations}
-        assign_keys: dict[str, list] = {rel: [] for rel in relations}
-        for ident in range(size):
-            if k == 2:
-                keys = _word_keys(ident, n, relations)
-            else:
-                keys = function_keys(KFunction.from_id(ident, k, n), relations)
-            for rel in relations:
-                key = keys[rel]
-                entry = buckets[rel].get(key)
-                if entry is None:
-                    buckets[rel][key] = [1, ident]
-                else:
-                    entry[0] += 1
-                if keep_assignment:
-                    assign_keys[rel].append(key)
-        assign = {}
+        buckets, labels = _scan_chunk(
+            (k, n, 0, size, relations, keep_assignment))
+    assign = {rel: None for rel in relations}
+    if keep_assignment:
         for rel in relations:
-            if keep_assignment:
-                order = {key: i for i, key in enumerate(
-                    sorted(buckets[rel], key=lambda kk: buckets[rel][kk][1]))}
-                assign[rel] = np.fromiter(
-                    (order[key] for key in assign_keys[rel]),
-                    dtype=np.int64, count=size)
-            else:
-                assign[rel] = None
+            order = {key: i for i, key in enumerate(
+                sorted(buckets[rel], key=lambda kk: buckets[rel][kk][1]))}
+            assign[rel] = np.concatenate([
+                np.array([order[key] for key in keys], dtype=np.int64)[inverse]
+                for keys, inverse in labels[rel]])
 
     out = {}
     for rel in relations:

@@ -223,46 +223,21 @@ def implementations(f: KFunction, max_vars: int = 8) -> frozenset[Implementation
 # implementation counting
 # ---------------------------------------------------------------------------
 
-_IMP_MEMO: dict[tuple[int, int], int] = {}
-
-
-def _imp_word(w: int, n: int) -> int:
-    key = (n, w)
-    hit = _IMP_MEMO.get(key)
-    if hit is not None:
-        return hit
-    ess = bitops.essential_mask(w, n)
-    m = bin(ess).count("1")
-    if m <= 1:
-        val = 1 if m == 0 else 2
-    else:
-        val = 0
-        i = 1
-        while ess:
-            if ess & 1:
-                val += _imp_word(bitops.cofactor_word(w, n, i, 0), n)
-                val += _imp_word(bitops.cofactor_word(w, n, i, 1), n)
-            ess >>= 1
-            i += 1
-    _IMP_MEMO[key] = val
-    return val
-
-
 def imp_count_word(w: int, n: int) -> int:
-    """imp value of a packed binary table (the scan-facing entry point)."""
-    return _imp_word(w, n)
+    """imp value of a packed binary table."""
+    return imp_count(KFunction.from_word(w, n))
 
 
 def imp_count(f: KFunction, max_vars: int = 8) -> int:
     """imp(f) = |Imp(f)|.
 
-    For k = 2 this is the memoized recursion over essential cofactors
-    (base 1 at ess 0, base 2 at ess 1); its agreement with direct
-    enumeration is a verified property.  For k > 2 the count is obtained by
-    enumeration, the proven ground truth.
+    For k = 2 this is the recursion over essential cofactors (base 1 at ess
+    0, base 2 at ess 1), run level by level over f's restriction lattice;
+    its agreement with direct enumeration is a verified property.  For
+    k > 2 the count is obtained by enumeration, the proven ground truth.
     """
     if f.k == 2:
-        return _imp_word(f.word, f.n)
+        return int(bitops.imp_counts(bitops.function_lattice(f))[0])
     return len(implementations(f, max_vars=max_vars))
 
 

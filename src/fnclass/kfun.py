@@ -20,7 +20,7 @@ from . import bitops
 VarSet = frozenset[int]
 PartialAssignment = Mapping[int, int]
 
-#: Refuse to materialize tables above this many cells (configurable).
+#: Refuse to materialize tables above this many cells.
 DEFAULT_MAX_CELLS = 2 ** 32
 
 
@@ -29,15 +29,15 @@ class KFunction:
 
     __slots__ = ("k", "n", "values", "_hash")
 
-    def __init__(self, k: int, n: int, values: Iterable[int],
-                 max_cells: int = DEFAULT_MAX_CELLS):
+    def __init__(self, k: int, n: int, values: Iterable[int]):
         if k < 2:
             raise ValueError(f"radix k must be >= 2, got {k}")
         if n < 0:
             raise ValueError(f"arity n must be >= 0, got {n}")
         size = k ** n
-        if size > max_cells:
-            raise ValueError(f"table of k^n = {size} cells exceeds limit {max_cells}")
+        if size > DEFAULT_MAX_CELLS:
+            raise ValueError(f"table of k^n = {size} cells exceeds limit "
+                             f"{DEFAULT_MAX_CELLS}")
         vals = bytes(values)
         if len(vals) != size:
             raise ValueError(f"table length {len(vals)} != k^n = {size}")
@@ -221,8 +221,3 @@ class KFunction:
 def from_values(k: int, n: int, values: Sequence[int]) -> KFunction:
     return KFunction(k, n, values)
 
-
-def all_functions(k: int, n: int):
-    """Iterate the whole space P_k^n in id order."""
-    for ident in range(k ** (k ** n)):
-        yield KFunction.from_id(ident, k, n)

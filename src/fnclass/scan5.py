@@ -6,8 +6,9 @@ orbits of that group (7680 elements).  Phase one walks the space in id
 order, expanding each unseen function's orbit with vectorized bit
 permutations and marking members in a 512 MiB bitmap; this yields one
 minimal representative and the exact orbit size per orbit.  Phase two
-computes the sep profile of each representative and accumulates class
-cardinalities weighted by orbit size.
+computes the sep profiles of the representatives in blocks on the
+restriction-lattice kernel (`bitops`) and accumulates class cardinalities
+weighted by orbit size.
 
 The walk checkpoints its bitmap and partial transversal, so interrupted
 runs resume.  A direct (orbit-free) scan over a random sample is provided
@@ -22,9 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from . import bitops
 from . import cache as cache_mod
-from .bitops import sep_profile_word
-from .classify import ClassRecord, ClassificationReport
+from .classify import ClassRecord, ClassificationReport, merge_class_counts
 from .kfun import KFunction
 
 _N = 5
@@ -137,9 +138,9 @@ def ge_transversal(cache_dir: str | None = None, resume: bool = True,
         reps, sizes = [], []
 
     def save_checkpoint(at: int) -> None:
-        np.savez(ckpt, seen=bitmap.data, pos=np.int64(at),
-                 reps=np.array(reps, dtype=np.uint64),
-                 sizes=np.array(sizes, dtype=np.int64))
+        cache_mod.save_npz(ckpt, seen=bitmap.data, pos=np.int64(at),
+                           reps=np.array(reps, dtype=np.uint64),
+                           sizes=np.array(sizes, dtype=np.int64))
 
     last_save = time.time()
     nxt = bitmap.next_clear(pos)
@@ -161,24 +162,30 @@ def ge_transversal(cache_dir: str | None = None, resume: bool = True,
 
     reps_arr = np.array(reps, dtype=np.uint64)
     sizes_arr = np.array(sizes, dtype=np.int64)
-    np.savez(done, reps=reps_arr, sizes=sizes_arr)
+    cache_mod.save_npz(done, reps=reps_arr, sizes=sizes_arr)
     if ckpt.exists():
         ckpt.unlink()
     return reps_arr, sizes_arr
 
 
-def _profile_chunk(args) -> dict:
-    reps, sizes = args
-    out: dict[tuple[int, ...], list] = {}
-    for w, s in zip(reps, sizes):
-        prof = sep_profile_word(int(w), _N)
-        entry = out.get(prof)
-        if entry is None:
-            out[prof] = [int(s), int(w)]
-        else:
-            entry[0] += int(s)
-            entry[1] = min(entry[1], int(w))
+def _sep_profiles(words: np.ndarray) -> np.ndarray:
+    """(len(words), 5) sep vectors of table words, bitops.BLOCK at a time."""
+    out = np.empty((len(words), _N), dtype=np.uint8)
+    for lo in range(0, len(words), bitops.BLOCK):
+        tables = bitops.tables_from_ids(words[lo:lo + bitops.BLOCK], 2, _N)
+        out[lo:lo + bitops.BLOCK] = bitops.sep_counts(
+            bitops.restrictions(tables, 2, range(_N)).masks, _N)
     return out
+
+
+def _profile_chunk(args) -> dict:
+    reps, sizes = args  # reps ascend, so a profile's first rep is its least
+    profiles, first, inverse = np.unique(
+        _sep_profiles(reps), axis=0, return_index=True, return_inverse=True)
+    # float sums of orbit sizes are exact: they stay below 2^33
+    counts = np.bincount(inverse.reshape(-1), weights=sizes)
+    return {tuple(prof): [int(cnt), int(reps[i])] for prof, cnt, i
+            in zip(profiles.tolist(), counts, first)}
 
 
 def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
@@ -200,13 +207,7 @@ def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
                  for i in range(0, len(reps), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_profile_chunk, tasks):
-                for prof, (cnt, rep) in part.items():
-                    entry = counts.get(prof)
-                    if entry is None:
-                        counts[prof] = [cnt, rep]
-                    else:
-                        entry[0] += cnt
-                        entry[1] = min(entry[1], rep)
+                merge_class_counts(counts, part)
     else:
         counts = _profile_chunk((reps, sizes))
 
@@ -220,9 +221,6 @@ def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
             extra={"sep": sum(prof), "sep_vector": list(prof)}))
     report = ClassificationReport("sep", 2, _N, _SPACE, records)
     cache_mod.save_json(report_file, report.to_json_dict())
-    cache_mod.save_profile_counts(
-        base / "scan5_sep_counts.fncp", 2, _N,
-        {prof: cnt for prof, (cnt, _) in counts.items()})
     return report
 
 
@@ -242,11 +240,10 @@ def _sample_chunk(args) -> dict:
     seed, count = args
     rng = np.random.default_rng(seed)
     words = rng.integers(0, _SPACE, size=count, dtype=np.uint64)
-    out: dict[tuple[int, ...], int] = {}
-    for w in words:
-        prof = sep_profile_word(int(w), _N)
-        out[prof] = out.get(prof, 0) + 1
-    return out
+    profiles, counts = np.unique(_sep_profiles(words), axis=0,
+                                 return_counts=True)
+    return {tuple(prof): int(cnt)
+            for prof, cnt in zip(profiles.tolist(), counts)}
 
 
 def sample_sep_profiles(count: int = 1_000_000, seed: int = 0,

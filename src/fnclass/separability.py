@@ -2,9 +2,10 @@
 
 A simple subfunction fixes one currently-essential variable to a constant;
 the subfunction preorder is the reflexive-transitive closure of that step.
-Because restrictions keep the arity, subfunctions are deduplicated by plain
-table equality.  A non-empty variable set M is separable in f when it is
-exactly the essential set of some subfunction.
+Restrictions keep the arity and fixing an inessential variable changes
+nothing, so Sub(f) is the set of distinct rows of f's restriction lattice
+(`bitops`), and sub, sep, Sub(f) and Sep(f) are read off it.  A non-empty
+variable set M is separable in f when it is exactly Ess of a subfunction.
 
 A distributive set of an inseparable M is a minimal set J, disjoint from M,
 such that every way of fixing all of J kills the essentiality of some member
@@ -23,65 +24,39 @@ from .kfun import KFunction, VarSet
 
 
 # ---------------------------------------------------------------------------
-# subfunction closure
+# subfunctions and separable sets, read off the restriction lattice
 # ---------------------------------------------------------------------------
-
-def _closure_generic(f: KFunction) -> dict[bytes, frozenset[int]]:
-    seen = {f.values: f.essential_set()}
-    stack = [f]
-    while stack:
-        cur = stack.pop()
-        for i in seen[cur.values]:
-            for c in range(cur.k):
-                sub = cur.cofactor(i, c)
-                if sub.values not in seen:
-                    seen[sub.values] = sub.essential_set()
-                    stack.append(sub)
-    return seen
-
-
-def _closure(f: KFunction) -> dict[bytes, frozenset[int]]:
-    """Map table -> essential set over Sub(f) (f included)."""
-    if f.k == 2:
-        words = bitops.sub_closure_word(f.word, f.n)
-        return {
-            bitops.values_from_word(w, f.n):
-                frozenset(i + 1 for i in range(f.n) if m & (1 << i))
-            for w, m in words.items()
-        }
-    return _closure_generic(f)
-
 
 def subfunctions(f: KFunction) -> set[KFunction]:
     """Sub(f): every table reachable by fixing essential variables, plus f."""
-    return {KFunction(f.k, f.n, vals) for vals in _closure(f)}
+    lattice = bitops.function_lattice(f)
+    rows = lattice.tables[0][bitops.distinct(lattice)[0]]
+    return {KFunction(f.k, f.n, row.tobytes()) for row in rows}
 
 
 def sub_vector(f: KFunction) -> tuple[int, ...]:
     """(sub_0, ..., sub_n): subfunction counts grouped by essential arity."""
-    prof = [0] * (f.n + 1)
-    for ess in _closure(f).values():
-        prof[len(ess)] += 1
-    return tuple(prof)
+    counts = bitops.sub_counts(bitops.function_lattice(f), f.n)
+    return tuple(counts[0].tolist())
 
 
 def separable_sets(f: KFunction) -> set[VarSet]:
     """Sep(f) = { Ess(g) : g in Sub(f), Ess(g) non-empty }."""
-    return {ess for ess in _closure(f).values() if ess}
+    masks = set(bitops.function_lattice(f).masks[0].tolist())
+    return {frozenset(i + 1 for i in range(f.n) if m >> i & 1)
+            for m in masks if m}
 
 
 def sep_vector(f: KFunction) -> tuple[int, ...]:
     """(sep_1, ..., sep_n): separable-set counts by cardinality."""
-    prof = [0] * f.n
-    for m in separable_sets(f):
-        prof[len(m) - 1] += 1
-    return tuple(prof)
+    counts = bitops.sep_counts(bitops.function_lattice(f).masks, f.n)
+    return tuple(counts[0].tolist())
 
 
 def is_separable(f: KFunction, m: Iterable[int]) -> bool:
     """Direct oracle: scan every assignment of Ess(f) \\ M for Ess = M.
 
-    This deliberately does not reuse the subfunction closure, so it can
+    This deliberately does not reuse the restriction lattice, so it can
     cross-check membership in separable_sets(f).
     """
     mset = frozenset(m)
@@ -194,32 +169,24 @@ def subfunction_chain(f: KFunction, g: KFunction) -> list[KFunction]:
     """
     if (g.k, g.n) != (f.k, f.n):
         raise ValueError("g must live in the same space as f")
-    if g.values not in _closure(f):
+    if g not in subfunctions(f):
         raise ValueError("g is not a subfunction of f")
 
-    closure_cache: dict[bytes, dict[bytes, frozenset[int]]] = {}
-
-    def closure_of(h: KFunction) -> dict[bytes, frozenset[int]]:
-        if h.values not in closure_cache:
-            closure_cache[h.values] = _closure(h)
-        return closure_cache[h.values]
-
-    target = g.values
+    floor = g.ess()
     dead: set[bytes] = set()
 
     def descend(h: KFunction) -> list[KFunction] | None:
-        if h.values == target:
+        if h == g:
             return [h]
-        want = len(closure_of(h)[h.values]) - 1
-        if want < len(_closure(f)[target]):
+        want = h.ess() - 1
+        if want < floor:
             return None
         for i in sorted(h.essential_set()):
             for c in range(h.k):
                 nxt = h.cofactor(i, c)
                 if nxt.values in dead:
                     continue
-                sub = closure_of(nxt)
-                if len(sub[nxt.values]) != want or target not in sub:
+                if nxt.ess() != want or g not in subfunctions(nxt):
                     continue
                 tail = descend(nxt)
                 if tail is not None:

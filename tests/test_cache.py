@@ -1,9 +1,4 @@
-import json
-
-import pytest
-
-from fnclass.cache import (cache_dir, load_json, load_profile_counts,
-                           report_path, save_json, save_profile_counts)
+from fnclass.cache import cache_dir, load_json, report_path, save_json
 
 
 class TestCacheDir:
@@ -33,24 +28,3 @@ class TestJsonReports:
     def test_missing_returns_none(self, tmp_path):
         assert load_json(tmp_path / "absent.json") is None
 
-
-class TestBinaryCounts:
-    def test_round_trip(self, tmp_path):
-        counts = {(0, 0, 0, 0, 0): 2, (5, 10, 10, 5, 1): 4274814914,
-                  (4, 6, 4, 1, 0): 301970}
-        path = tmp_path / "counts.fncp"
-        save_profile_counts(path, 2, 5, counts)
-        k, n, got = load_profile_counts(path)
-        assert (k, n) == (2, 5)
-        assert got == counts
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.fncp"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="not a profile-count"):
-            load_profile_counts(path)
-
-    def test_rejects_ragged_profiles(self, tmp_path):
-        with pytest.raises(ValueError, match="one length"):
-            save_profile_counts(tmp_path / "x.fncp", 2, 5,
-                                {(1, 2): 3, (1, 2, 3): 4})

@@ -100,11 +100,14 @@ class TestClassifySpace:
         assert sum(report.sizes()) == 16
 
     def test_parallel_matches_serial(self):
-        serial = scan_space(2, 3, ("imp", "sub", "sep"), jobs=1)
-        parallel = scan_space(2, 3, ("imp", "sub", "sep"), jobs=2)
+        # P_3^2 has 19683 functions, above the size at which the pool is used
+        serial = scan_space(3, 2, ("imp", "sub", "sep"), jobs=1)
+        parallel = scan_space(3, 2, ("imp", "sub", "sep"), jobs=2)
         for rel in ("imp", "sub", "sep"):
-            assert [(c.key, c.size) for c in serial[rel].classes] == \
-                [(c.key, c.size) for c in parallel[rel].classes]
+            assert [(c.key, c.size, c.representative)
+                    for c in serial[rel].classes] == \
+                [(c.key, c.size, c.representative)
+                 for c in parallel[rel].classes]
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,104 @@
+"""The restriction-lattice kernel against the definition of Sub(f).
+
+The reference closure below follows the definition literally: starting at
+f, repeatedly fix one currently-essential variable through
+`KFunction.cofactor`.  It shares no code with the kernel.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from fnclass import bitops
+from fnclass.diagrams import imp_count, imp_count_word, implementations
+from fnclass.kfun import KFunction
+from fnclass.separability import (separable_sets, sep_vector, sub_vector,
+                                  subfunctions)
+from fnclass.spform import parse
+
+
+def definitional_closure(f: KFunction) -> dict:
+    """Sub(f) by breadth-first search, each member with its essential set."""
+    seen = {f: f.essential_set()}
+    frontier = [f]
+    while frontier:
+        reached = []
+        for g in frontier:
+            for i in seen[g]:
+                for c in range(g.k):
+                    h = g.cofactor(i, c)
+                    if h not in seen:
+                        seen[h] = h.essential_set()
+                        reached.append(h)
+        frontier = reached
+    return seen
+
+
+def functions(k: int, n: int, count: int | None) -> list[KFunction]:
+    """All of P_k^n, or a seeded sample of `count` functions."""
+    size = k ** (k ** n)
+    if count is None:
+        return [KFunction.from_id(i, k, n) for i in range(size)]
+    rng = random.Random(f"{k}:{n}")
+    return [KFunction.from_id(rng.randrange(size), k, n) for _ in range(count)]
+
+
+def mask_of(vars_) -> int:
+    return sum(1 << (i - 1) for i in vars_)
+
+
+@pytest.mark.parametrize("k,n,count", [
+    (2, 3, None), (3, 2, None), (2, 4, 300), (2, 5, 100), (2, 6, 30),
+    (3, 3, 60)])
+def test_kernel_matches_definition(k, n, count):
+    fns = functions(k, n, count)
+    tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
+    lattice = bitops.restrictions(tables, k, range(n))
+    subs = bitops.sub_counts(lattice, n)
+    seps = bitops.sep_counts(lattice.masks, n)
+    for f, sub, sep in zip(fns, subs.tolist(), seps.tolist()):
+        closure = definitional_closure(f)
+        sets = {e for e in closure.values() if e}
+        want_sub = [sum(len(e) == m for e in closure.values())
+                    for m in range(n + 1)]
+        want_sep = [sum(len(e) == m for e in sets) for m in range(1, n + 1)]
+        assert (sub, sep) == (want_sub, want_sep), f
+        assert subfunctions(f) == set(closure), f
+        assert separable_sets(f) == sets, f
+        assert (list(sub_vector(f)), list(sep_vector(f))) == (sub, sep), f
+        if k == 2 and n >= 4:
+            assert bitops.sub_closure_word(f.word, n) == {
+                g.word: mask_of(e) for g, e in closure.items()}
+            assert list(bitops.sep_profile_word(f.word, n)) == want_sep
+
+
+@pytest.mark.parametrize("n,count", [(2, None), (3, None), (4, 150), (5, 6)])
+def test_binary_imp_matches_enumeration(n, count):
+    fns = functions(2, n, count)
+    tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
+    got = bitops.imp_counts(bitops.restrictions(tables, 2, range(n)))
+    for f, imp in zip(fns, got.tolist()):
+        want = len(implementations(f))
+        assert (imp, imp_count(f), imp_count_word(f.word, n)) == \
+            (want, want, want), f
+
+
+def test_lattice_row_zero_is_the_function():
+    f = KFunction(3, 2, [0, 1, 2, 1, 1, 1, 2, 1, 0])
+    lattice = bitops.function_lattice(f)
+    assert bytes(lattice.tables[0, 0]) == f.values
+    assert lattice.masks[0, 0] == mask_of(f.essential_set())
+    assert lattice.tables.shape == (1, 16, 9)
+
+
+def test_single_function_lattice_varies_essential_variables_only():
+    # 3^12 rows of 4096 cells would need gigabytes; 3^3 rows suffice
+    f = parse("x1*x2 + x3", 2, arity=12)
+    small = parse("x1*x2 + x3", 2)
+    assert bitops.function_lattice(f).tables.shape == (1, 27, 4096)
+    assert sub_vector(f) == sub_vector(small) + (0,) * 9
+    assert sep_vector(f) == sep_vector(small) + (0,) * 9
+    assert separable_sets(f) == separable_sets(small)
+    assert imp_count(f) == imp_count(small) == 32
+    assert len(subfunctions(f)) == len(subfunctions(small)) == 13

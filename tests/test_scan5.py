@@ -69,12 +69,18 @@ class TestSampledProfiles:
         assert b == merged
 
     def test_profile_kernel_agrees_with_library_route(self):
+        # the direct separability oracle shares no code with the lattice
+        import itertools
         from fnclass.kfun import KFunction
-        from fnclass.separability import sep_vector
+        from fnclass.separability import is_separable
         rng = np.random.default_rng(9)
         for w in rng.integers(0, 2 ** 32, size=40, dtype=np.uint64):
             f = KFunction.from_word(int(w), 5)
-            assert sep_profile_word(int(w), 5) == sep_vector(f)
+            ess = sorted(f.essential_set())
+            want = tuple(sum(is_separable(f, m)
+                             for m in itertools.combinations(ess, size))
+                         for size in range(1, 6))
+            assert sep_profile_word(int(w), 5) == want
 
 
 class TestTransversalCache:
@@ -86,6 +92,27 @@ class TestTransversalCache:
         got_reps, got_sizes = ge_transversal(cache_dir=str(tmp_path))
         assert np.array_equal(got_reps, reps)
         assert np.array_equal(got_sizes, sizes)
+
+    def test_stray_temporary_file_is_never_loaded(self, tmp_path,
+                                                  monkeypatch):
+        # a 64-id space whose orbits are singletons, checkpointed after
+        # every orbit; the stray file claims every id is already seen
+        import fnclass.scan5 as scan5
+        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
+        monkeypatch.setattr(scan5, "_SPACE", 64)
+        monkeypatch.setattr(scan5, "_domain_maps", lambda: None)
+        monkeypatch.setattr(scan5, "_orbit", lambda w, maps: np.array(
+            [w], dtype=np.uint64))
+        np.savez(tmp_path / "scan5_ge_ckpt.tmp.npz",
+                 seen=np.full(8, 0xFF, dtype=np.uint8), pos=np.int64(63),
+                 reps=np.array([5], dtype=np.uint64),
+                 sizes=np.array([64], dtype=np.int64))
+        reps, sizes = ge_transversal(cache_dir=str(tmp_path),
+                                     checkpoint_seconds=0.0)
+        assert reps.tolist() == list(range(64))
+        assert sizes.tolist() == [1] * 64
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["scan5_ge_transversal.npz"]
 
     def test_resume_appends_remaining_orbits(self, tmp_path, monkeypatch):
         # checkpoint state: everything seen except two chosen targets (plus
