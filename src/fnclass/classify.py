@@ -16,6 +16,7 @@ sep_m vectors.  Both degenerate to comparing essential counts at ess <= 1.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,9 +31,12 @@ from .separability import sep_vector, sub_vector
 
 RELATIONS = ("imp", "sub", "sep")
 
-_SIG_MEMO: dict[tuple[int, int, bytes], bytes] = {}
+# signatures kept for reuse by the recursion and by repeated calls; the
+# least recently used one is dropped beyond this many
+_SIG_CACHE_SIZE = 1 << 14
 
 
+@functools.lru_cache(maxsize=_SIG_CACHE_SIZE)
 def imp_signature(f: KFunction) -> bytes:
     """Canonical form of the recursive implementation equivalence.
 
@@ -40,21 +44,14 @@ def imp_signature(f: KFunction) -> bytes:
     definition (checked against the direct search oracle on small spaces).
     Functions whose essential counts differ never share a signature.
     """
-    key = (f.k, f.n, f.values)
-    hit = _SIG_MEMO.get(key)
-    if hit is not None:
-        return hit
     ess = sorted(f.essential_set())
     if len(ess) <= 1:
-        sig = b"L%d" % len(ess)
-    else:
-        descriptors = sorted(
-            b"[" + b",".join(sorted(imp_signature(f.cofactor(i, j))
-                                    for j in range(f.k))) + b"]"
-            for i in ess)
-        sig = b"{" + b",".join(descriptors) + b"}"
-    _SIG_MEMO[key] = sig
-    return sig
+        return b"L%d" % len(ess)
+    descriptors = sorted(
+        b"[" + b",".join(sorted(imp_signature(f.cofactor(i, j))
+                                for j in range(f.k))) + b"]"
+        for i in ess)
+    return b"{" + b",".join(descriptors) + b"}"
 
 
 def imp_equivalent_direct(f: KFunction, g: KFunction) -> bool:

@@ -10,6 +10,13 @@ output value permutations).
 
 Group names: s, ca, g, ge, cf, lf, lg, a, axa1, rag, fullsym.  The linear
 and affine ones (lg, a, axa1, rag) require a prime radix.
+
+`Transformation` and `group_elements` are the element-level API and the
+oracle the orbit machinery is tested against.  The orbit machinery itself
+works on numpy arrays from the generators only: `orbit_partition` turns
+each generator into a permutation of the function ids and propagates
+minimum labels until they settle; `canonical_form` expands one orbit as a
+frontier BFS over table rows, one gather per level.
 """
 
 from __future__ import annotations
@@ -444,105 +451,123 @@ def apply(t: Transformation, f: KFunction) -> KFunction:
     return t.apply(f)
 
 
+def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
+    """One sort key per table row, ordered like the rows' ids.
+
+    The id itself (uint64) while k^(k^n) <= 2^64, which covers P_2^6;
+    beyond that the row's bytes, last cell first, compared as raw memory.
+    """
+    cells = rows.shape[1]
+    if k ** cells <= 1 << 64:
+        weights = np.uint64(k) ** np.arange(cells, dtype=np.uint64)
+        return rows.astype(np.uint64) @ weights
+    return (np.ascontiguousarray(rows[:, ::-1])
+            .view(np.dtype((np.void, cells))).ravel())
+
+
+def _orbit_rows(f: KFunction, gd: GroupDescriptor,
+                max_orbit: int = 1 << 22) -> np.ndarray:
+    """Every table of f's orbit as uint8 rows, ascending by id.
+
+    A frontier BFS: the images of a whole frontier under every generator
+    are one gather, and new tables are found by looking their keys up among
+    the sorted keys seen so far.  Raises OrbitBudgetError once more than
+    `max_orbit` tables are seen.
+    """
+    k, cells = gd.k, gd.k ** gd.n
+    gens = group_generators(gd)
+    doms = np.concatenate([np.asarray(t.domain_map, np.intp) for t in gens])
+    # every generator's out_maps, flat: (g, x, v) at (g * cells + x) * k + v
+    outs = np.concatenate([np.asarray(t.out_maps, np.uint8).ravel()
+                           for t in gens])
+    slots = np.arange(0, len(gens) * cells * k, k, dtype=np.int32)
+    frontier = np.frombuffer(f.values, dtype=np.uint8)[None, :]
+    seen = _row_keys(frontier, k)  # sorted
+    rows, keys = [frontier], [seen]
+    while True:
+        images = outs[frontier[:, doms] + slots].reshape(-1, cells)
+        found, first = np.unique(_row_keys(images, k), return_index=True)
+        at = np.searchsorted(seen, found)
+        at[at == len(seen)] = 0
+        fresh = seen[at] != found
+        if not fresh.any():
+            break
+        frontier = images[first[fresh]]
+        seen = np.sort(np.concatenate([seen, found[fresh]]))
+        if seen.size > max_orbit:
+            raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
+        rows.append(frontier)
+        keys.append(found[fresh])
+    return np.concatenate(rows)[np.argsort(np.concatenate(keys))]
+
+
 def canonical_form(f: KFunction, gd: GroupDescriptor,
                    max_orbit: int = 1 << 22) -> KFunction:
     """Orbit element with the smallest table id (the k-ary numeral reading).
 
     Two functions are G-equivalent iff their canonical forms coincide.  The
-    orbit is expanded breadth-first from the generators; `max_orbit` bounds
-    the expansion.
+    orbit is expanded breadth-first from the generators, a whole frontier
+    per numpy gather; `max_orbit` bounds the expansion.
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
-    gens = group_generators(gd)
-    seen = {f.values}
-    frontier = [f]
-    best = f
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for t in gens:
-                h = t.apply(g)
-                if h.values in seen:
-                    continue
-                seen.add(h.values)
-                if len(seen) > max_orbit:
-                    raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
-                if h.id < best.id:
-                    best = h
-                nxt.append(h)
-        frontier = nxt
-    return best
+    return KFunction(f.k, f.n, _orbit_rows(f, gd, max_orbit)[0].tobytes())
 
 
 # -- whole-space scans (small spaces) ---------------------------------------
 
-def _space_tables(k: int, n: int) -> np.ndarray:
-    size = k ** (k ** n)
+def _space_columns(k: int, n: int) -> np.ndarray:
+    """(k^n, k^(k^n)) uint8: cell c of every table of the space, by id."""
     cells = k ** n
-    ids = np.arange(size, dtype=np.int64)
-    tables = np.empty((size, cells), dtype=np.uint8)
-    rem = ids.copy()
+    columns = np.empty((cells, k ** cells), dtype=np.uint8)
+    rem = np.arange(k ** cells, dtype=np.int64)
     for c in range(cells):
-        rem, digit = np.divmod(rem, k)
-        tables[:, c] = digit
-    return tables
+        rem, columns[c] = np.divmod(rem, k)
+    return columns
 
 
-def _generator_permutation(t: Transformation, tables: np.ndarray,
-                           weights: np.ndarray) -> np.ndarray:
-    cells = tables.shape[1]
-    dom = np.fromiter(t.domain_map, dtype=np.int64, count=cells)
-    outs = np.array(t.out_maps, dtype=np.uint8)
-    moved = tables[:, dom]
-    mapped = outs[np.arange(cells)[None, :], moved]
-    return mapped.astype(np.int64) @ weights
-
-
-class _DSU:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+def _generator_permutation(t: Transformation,
+                           columns: np.ndarray) -> np.ndarray:
+    """perm[id] = the id of t applied to the table with that id."""
+    cells, size = columns.shape
+    dtype = np.int32 if size <= 1 << 31 else np.int64
+    # cell x of the image is out_maps[x][cell domain_map[x]] at weight k^x
+    weighted = (np.asarray(t.out_maps, dtype)
+                * t.k ** np.arange(cells, dtype=dtype)[:, None])
+    perm = np.zeros(size, dtype=dtype)
+    for x, src in enumerate(t.domain_map):
+        perm += weighted[x][columns[src]]
+    return perm
 
 
 def orbit_partition(gd: GroupDescriptor,
                     max_space: int = 1 << 22) -> np.ndarray:
-    """Orbit label (the orbit's minimal function id) for every id in the space."""
+    """Orbit label (the orbit's minimal function id) for every id in the space.
+
+    Min-label propagation: every id starts as its own label, and each round
+    lowers a label to the labels of its images and preimages under every
+    generator, then jumps pointers (lab = lab[lab]).  A label only ever
+    falls to another id of the same orbit, so the fixed point is the orbit
+    minimum.
+    """
     size = gd.k ** (gd.k ** gd.n)
     if size > max_space:
         raise OrbitBudgetError(
             f"space of {size} functions exceeds the scan budget {max_space}")
-    tables = _space_tables(gd.k, gd.n)
-    weights = gd.k ** np.arange(gd.k ** gd.n, dtype=np.int64)
-    dsu = _DSU(size)
-    for t in group_generators(gd):
-        perm = _generator_permutation(t, tables, weights)
-        for s in range(size):
-            dsu.union(s, int(perm[s]))
-    labels = np.empty(size, dtype=np.int64)
-    mins: dict[int, int] = {}
-    for s in range(size):
-        r = dsu.find(s)
-        if r not in mins:
-            mins[r] = s  # ids ascend, so the first hit is the minimum
-        labels[s] = mins[r]
-    return labels
+    columns = _space_columns(gd.k, gd.n)
+    perms = [_generator_permutation(t, columns) for t in group_generators(gd)]
+    del columns
+    lab = np.arange(size, dtype=perms[0].dtype)
+    pulled = np.empty_like(lab)
+    while True:
+        before = lab.copy()
+        for perm in perms:
+            np.minimum(lab, lab[perm], out=lab)  # from the image
+            pulled[perm] = lab                   # from the preimage
+            np.minimum(lab, pulled, out=lab)
+        lab = lab[lab]
+        if np.array_equal(lab, before):
+            return lab.astype(np.int64)
 
 
 def orbit_transversal(gd: GroupDescriptor,

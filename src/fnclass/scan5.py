@@ -11,7 +11,9 @@ restriction-lattice kernel (`bitops`) and accumulates class cardinalities
 weighted by orbit size.
 
 The walk checkpoints its bitmap and partial transversal, so interrupted
-runs resume.  A direct (orbit-free) scan over a random sample is provided
+runs resume.  The finished transversal is cached and reused only while it
+passes checks against the orbit count from Burnside's lemma and the size of
+the space.  A direct (orbit-free) scan over a random sample is provided
 as an independent verifier.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -32,6 +35,9 @@ _N = 5
 _CELLS = 32
 _SPACE = 1 << 32
 _ALL_ONES = np.uint64(0xFFFFFFFF)
+_GROUP_ORDER = 7680  # 5! permutations * 2^5 shifts * 2 output complements
+# orbits of that group on P_2^5, by Burnside's lemma (tests re-derive it)
+GE5_ORBITS = 616_126
 
 CKPT_NAME = "scan5_ge_ckpt.npz"
 TRANSVERSAL_NAME = "scan5_ge_transversal.npz"
@@ -109,19 +115,40 @@ class _Bitmap:
         return None
 
 
+def _load_transversal(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """A cached (reps, sizes) pair, or None when the file is absent or fails
+    the checks a transversal of P_2^5 must pass: GE5_ORBITS strictly
+    ascending representatives whose orbit sizes divide the group order and
+    add up to the whole space."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            reps, sizes = data["reps"], data["sizes"]
+    except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
+        return None
+    if (reps.shape != (GE5_ORBITS,) or sizes.shape != reps.shape
+            or not np.all(reps[1:] > reps[:-1])
+            or sizes.min() < 1 or np.any(_GROUP_ORDER % sizes)
+            or int(sizes.sum()) != _SPACE):
+        return None
+    return reps, sizes
+
+
 def ge_transversal(cache_dir: str | None = None, resume: bool = True,
                    checkpoint_seconds: float = 300.0,
                    progress=None) -> tuple[np.ndarray, np.ndarray]:
     """Orbit minima and orbit sizes covering all of P_2^5.
 
-    Returns (reps, sizes) as uint64/int64 arrays; the result is cached, and
-    an interrupted walk restarts from its last checkpoint.
+    Returns (reps, sizes) as uint64/int64 arrays; the result is cached (a
+    cached file that fails `_load_transversal`'s checks is walked again),
+    and an interrupted walk restarts from its last checkpoint.
     """
     base = cache_mod.cache_dir(cache_dir)
     done = base / TRANSVERSAL_NAME
-    if resume and done.exists():
-        data = np.load(done)
-        return data["reps"], data["sizes"]
+    if resume:
+        cached = _load_transversal(done)
+        if cached is not None:
+            return cached
 
     maps = _domain_maps()
 

@@ -223,12 +223,3 @@ class ComplexityProfile:
     def to_json_dict(self, f: KFunction) -> dict:
         return {"k": f.k, "n": f.n, "table": f.table_text(),
                 "imp": self.imp, "sub": list(self.sub), "sep": list(self.sep)}
-
-    @staticmethod
-    def csv_header(n: int) -> list[str]:
-        return (["k", "n", "table", "imp"]
-                + [f"sub_{m}" for m in range(n + 1)]
-                + [f"sep_{m}" for m in range(1, n + 1)])
-
-    def csv_row(self, f: KFunction) -> list:
-        return [f.k, f.n, f.table_text(), self.imp, *self.sub, *self.sep]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import classify_space, scan_space
-from .groups import GroupDescriptor, count_orbits
+from .groups import GroupDescriptor, _orbit_rows, count_orbits
 from .spform import parse
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _reproduce_table3(jobs: int = 1) -> TableResult:
     ge = GroupDescriptor("ge", 2, 3)
     for rep, gen_size, imp, imp_size, sub, sub_size, sep, sep_size in TABLE3:
         f = parse(rep, 2, arity=3)
-        orbit = _genus_orbit_size(f, ge)
+        orbit = len(_orbit_rows(f, ge))
         sv = sub_vector(f)
         pv = sep_vector(f)
         rows.append([rep, orbit, imp_count(f), imp_sizes.get(imp_count(f)),
@@ -237,24 +237,6 @@ def _reproduce_table3(jobs: int = 1) -> TableResult:
         result.diffs.append((len(rows), 0, f"class counts {counts}",
                              "class counts (13, 11, 5)"))
     return result
-
-
-def _genus_orbit_size(f, gd: GroupDescriptor) -> int:
-    from .groups import group_generators
-
-    gens = group_generators(gd)
-    seen = {f.values}
-    frontier = [f]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for t in gens:
-                h = t.apply(g)
-                if h.values not in seen:
-                    seen.add(h.values)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen)
 
 
 def _reproduce_table4(jobs: int = 1) -> TableResult:

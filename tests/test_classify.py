@@ -31,6 +31,20 @@ class TestImpSignature:
         assert imp_signature(parse("x1", 2, arity=2)) != \
             imp_signature(KFunction.constant(2, 2, 0))
 
+    def test_cache_stays_bounded(self):
+        bound = imp_signature.cache_info().maxsize
+        early = [KFunction.from_id(i, 2, 4) for i in range(1, 1 << 16, 211)]
+        before = [imp_signature(f) for f in early]
+        filler = range(0, 1 << 16, 3)  # more P_2^4 functions than the bound
+        assert len(filler) > bound
+        for ident in filler:
+            imp_signature(KFunction.from_id(ident, 2, 4))
+        assert imp_signature.cache_info().currsize <= bound
+        misses = imp_signature.cache_info().misses
+        assert [imp_signature(f) for f in early] == before
+        assert imp_signature.cache_info().misses > misses  # some were evicted
+        assert imp_signature.cache_info().currsize <= bound
+
     def test_matches_direct_recursion_on_p22(self):
         # partition-level agreement with the explicit search oracle
         fns = [KFunction.from_id(i, 2, 2) for i in range(16)]

@@ -2,14 +2,15 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fnclass.groups import (GroupDescriptor, OrbitBudgetError, Transformation,
                             add_linear, affine, arg_translate, canonical_form,
                             count_orbits, group_elements, group_generators,
-                            identity, orbit_transversal, output_image,
-                            output_map, output_translate, var_perm,
-                            var_perm_value_maps)
+                            identity, orbit_partition, orbit_transversal,
+                            output_image, output_map, output_translate,
+                            var_perm, var_perm_value_maps)
 from fnclass.kfun import KFunction
 from fnclass.spform import parse
 
@@ -251,3 +252,64 @@ class TestOutputImage:
     def test_rejects_bad_map(self):
         with pytest.raises(ValueError):
             output_image(parse("x1", 2), (0, 2))
+
+
+# -- independent orbit oracles over the enumerated group elements ------------
+
+ORACLE_SPACES = [(name, k, n) for k, n in ((2, 3), (3, 2))
+                 for name in ("s", "ca", "g", "ge", "cf", "lf", "lg", "a",
+                              "axa1", "rag", "fullsym")]
+
+
+def burnside_orbits(elements, k):
+    """Orbit count as the mean number of functions each element fixes.
+
+    A fixed f satisfies f(x) = out_maps[x][f(domain_map[x])], so along a
+    cycle x_0 -> x_1 -> ... of domain_map, f(x_0) must be a fixed value of
+    out_maps[x_0] o out_maps[x_1] o ..., and it determines the rest.
+    """
+    total = 0
+    for t in elements:
+        fixed = 1
+        visited = set()
+        for start in range(len(t.domain_map)):
+            if start in visited:
+                continue
+            composed = list(range(k))
+            x = start
+            while x not in visited:
+                visited.add(x)
+                composed = [composed[t.out_maps[x][v]] for v in range(k)]
+                x = t.domain_map[x]
+            fixed *= sum(composed[v] == v for v in range(k))
+        total += fixed
+    assert total % len(elements) == 0
+    return total // len(elements)
+
+
+class TestOrbitOracles:
+    @pytest.mark.parametrize("name,k,n", ORACLE_SPACES)
+    def test_partition_matches_element_oracles(self, name, k, n):
+        gd = GroupDescriptor(name, k, n)
+        elements = list(group_elements(gd))
+        labels = orbit_partition(gd)
+        assert int(np.unique(labels).size) == count_orbits(gd) == \
+            burnside_orbits(elements, k)
+        rng = random.Random(f"{name}{k}{n}")
+        for x in rng.sample(range(labels.size), 4):
+            f = KFunction.from_id(x, k, n)
+            least = min(t.apply(f).id for t in elements)
+            assert labels[x] == least
+            assert canonical_form(f, gd).id == least
+
+    @pytest.mark.parametrize("name,k,n", [("ge", 2, 5), ("cf", 2, 7),
+                                          ("s", 3, 4)])
+    def test_canonical_form_is_element_minimum(self, name, k, n):
+        # P_2^7 and P_3^4 have more than 2^64 functions, so their orbit
+        # expansion dedups on row bytes instead of 64-bit ids
+        gd = GroupDescriptor(name, k, n)
+        rng = random.Random(7)
+        f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
+        form = canonical_form(f, gd)
+        assert form.id == min(t.apply(f).id for t in group_elements(gd))
+        assert canonical_form(form, gd) == form

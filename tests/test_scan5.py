@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fnclass.bitops import sep_profile_word
-from fnclass.scan5 import (_Bitmap, _domain_maps, _orbit, ge_transversal,
+from fnclass.scan5 import (GE5_ORBITS, _Bitmap, _domain_maps,
+                           _load_transversal, _orbit, ge_transversal,
                            sample_sep_profiles, sep_scan_p2_5)
 from fnclass.tables import TABLE5
 
@@ -26,6 +27,23 @@ class TestOrbitKernel:
         exact = [(f.id, s) for f, s in
                  orbit_transversal(GroupDescriptor("ge", 2, 4))]
         assert walk == exact
+
+    def test_burnside_count_of_ge5_orbits(self):
+        # each (permutation, shift) map fixes 2^cycles tables; with the
+        # output complement it fixes them only when every cycle is even
+        total = 0
+        for row in _domain_maps(5).tolist():
+            visited, lengths = set(), []
+            for start in range(32):
+                x, length = start, 0
+                while x not in visited:
+                    visited.add(x)
+                    x, length = row[x], length + 1
+                if length:
+                    lengths.append(length)
+            even = all(length % 2 == 0 for length in lengths)
+            total += 2 ** len(lengths) * (1 + even)
+        assert total == GE5_ORBITS * 7680
 
     def test_orbit_closed_under_membership(self):
         maps = _domain_maps(3)
@@ -83,15 +101,94 @@ class TestSampledProfiles:
             assert sep_profile_word(int(w), 5) == want
 
 
+def synthetic_transversal():
+    """Shaped like a P_2^5 transversal: GE5_ORBITS ascending ids whose
+    sizes divide 7680 and add up to 2^32 (not the real orbits)."""
+    reps = np.arange(GE5_ORBITS, dtype=np.uint64) * np.uint64(5)
+    sizes = np.repeat(np.array([256, 3840, 7680], dtype=np.int64),
+                      [1, 113_769, 502_356])
+    assert sizes.size == GE5_ORBITS and sizes.sum() == 1 << 32
+    return reps, sizes
+
+
+def _drop_last(reps, sizes):
+    return reps[:-1], sizes[:-1]
+
+
+def _double_one_size(reps, sizes):  # sizes still divide 7680
+    sizes[1] = 7680
+    return reps, sizes
+
+
+def _swap_two_reps(reps, sizes):
+    reps[[5, 6]] = reps[[6, 5]]
+    return reps, sizes
+
+
+def _repeat_a_rep(reps, sizes):
+    reps[6] = reps[5]
+    return reps, sizes
+
+
+def _non_divisor_size(reps, sizes):  # the sum is kept
+    sizes[0], sizes[1] = 255, 3841
+    return reps, sizes
+
+
+def _empty_orbit(reps, sizes):
+    sizes[0] = 0
+    return reps, sizes
+
+
 class TestTransversalCache:
     def test_finished_transversal_reloaded_verbatim(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        reps = np.array([0, 1, 3], dtype=np.uint64)
-        sizes = np.array([2, 7680, 100], dtype=np.int64)
+        reps, sizes = synthetic_transversal()
         np.savez(tmp_path / "scan5_ge_transversal.npz", reps=reps, sizes=sizes)
         got_reps, got_sizes = ge_transversal(cache_dir=str(tmp_path))
         assert np.array_equal(got_reps, reps)
         assert np.array_equal(got_sizes, sizes)
+
+    @pytest.mark.parametrize("corrupt", [
+        _drop_last, _double_one_size, _swap_two_reps, _repeat_a_rep,
+        _non_divisor_size, _empty_orbit])
+    def test_inconsistent_transversal_is_rejected(self, tmp_path, corrupt):
+        reps, sizes = corrupt(*synthetic_transversal())
+        path = tmp_path / "scan5_ge_transversal.npz"
+        np.savez(path, reps=reps, sizes=sizes)
+        assert _load_transversal(path) is None
+
+    def test_unreadable_transversal_is_rejected(self, tmp_path):
+        reps, sizes = synthetic_transversal()
+        path = tmp_path / "scan5_ge_transversal.npz"
+        assert _load_transversal(path) is None  # absent
+        np.savez(path, reps=reps)
+        assert _load_transversal(path) is None  # no sizes
+        np.savez(path, reps=reps, sizes=sizes)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        assert _load_transversal(path) is None  # torn
+        path.write_bytes(b"")
+        assert _load_transversal(path) is None
+        np.save(tmp_path / "plain.npy", reps)
+        (tmp_path / "plain.npy").replace(path)
+        assert _load_transversal(path) is None  # a bare array
+
+    def test_rejected_transversal_is_recomputed(self, tmp_path, monkeypatch):
+        import fnclass.scan5 as scan5
+
+        class WalkStarted(Exception):
+            pass
+
+        def start_walk():
+            raise WalkStarted
+
+        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
+        monkeypatch.setattr(scan5, "_domain_maps", start_walk)
+        reps, sizes = _drop_last(*synthetic_transversal())
+        np.savez(tmp_path / "scan5_ge_transversal.npz", reps=reps, sizes=sizes)
+        with pytest.raises(WalkStarted):
+            ge_transversal(cache_dir=str(tmp_path))
 
     def test_stray_temporary_file_is_never_loaded(self, tmp_path,
                                                   monkeypatch):
