@@ -1,4 +1,4 @@
-"""Truth-table kernels: the restriction lattice and binary word helpers.
+"""Truth-table kernels for every radix: one table and the restriction lattice.
 
 Restrictions keep the arity and fixing an inessential variable changes
 nothing, so Sub(f) is exactly the set of the (k+1)^n partial-assignment
@@ -6,10 +6,12 @@ restrictions of f.  `restrictions` builds them for a batch of uint8 tables,
 row rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
 per-function measure is read off that lattice.
 
-A binary truth table is also packed into a Python int: bit i of the word is
-the value at table index i = sum a_j * 2^(j-1).  The word helpers back
-`KFunction`'s own essential-variable and cofactor code, which stays
-independent of the lattice it cross-checks.
+A single table is also read as one little-endian Python int, 8 bits per
+cell, so the cells with x_i = c are the cells with x_i = 0 shifted up by
+c * k^(i-1) bytes.  `essential_mask` and `cofactor` work on that int and
+back `KFunction`'s own essential-variable and cofactor code, which stays
+independent of the lattice it cross-checks.  `row_keys` is the one sort key
+of table rows, shared by the lattice and the orbit search in `groups`.
 """
 
 from __future__ import annotations
@@ -25,54 +27,45 @@ BLOCK = 256
 LATTICE_CACHE = 16
 
 
-@lru_cache(maxsize=None)
-def low_mask(n: int, i: int) -> int:
-    """Bitmask of the table indices whose i-th coordinate (1-based) is 0."""
-    size = 1 << n
-    s = 1 << (i - 1)
+# ---------------------------------------------------------------------------
+# one table as an int, 8 bits per cell
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _digit_zero(k: int, n: int) -> tuple[int, ...]:
+    """Per variable, the byte mask (as an int) of the cells whose digit is 0."""
+    cells = np.arange(k ** n)
+    zero = cells // k ** np.arange(n)[:, None] % k == 0
+    return tuple(int.from_bytes(row.tobytes(), "little")
+                 for row in zero * np.uint8(0xFF))
+
+
+def essential_mask(values: bytes, k: int, n: int) -> int:
+    """Bitmask over variables of a table: bit (i-1) set iff x_i is essential.
+
+    The table is one little-endian int, 8 bits per cell; the cells with
+    x_i = c sit c * k^(i-1) bytes above the cells with x_i = 0.
+    """
+    w = int.from_bytes(values, "little")
     m = 0
-    for idx in range(size):
-        if not idx & s:
-            m |= 1 << idx
+    for i, zero in enumerate(_digit_zero(k, n)):
+        step = 8 * k ** i
+        for c in range(1, k):
+            if (w ^ (w >> c * step)) & zero:
+                m |= 1 << i
+                break
     return m
 
 
-def word_from_values(values) -> int:
-    w = 0
-    for i, v in enumerate(values):
-        if v:
-            w |= 1 << i
-    return w
-
-
-def values_from_word(w: int, n: int) -> bytes:
-    return bytes((w >> i) & 1 for i in range(1 << n))
-
-
-def is_essential_word(w: int, n: int, i: int) -> bool:
-    s = 1 << (i - 1)
-    return bool((w ^ (w >> s)) & low_mask(n, i))
-
-
-def essential_mask(w: int, n: int) -> int:
-    """Bitmask over variables: bit (i-1) set iff variable i is essential."""
-    m = 0
-    for i in range(1, n + 1):
-        s = 1 << (i - 1)
-        if (w ^ (w >> s)) & low_mask(n, i):
-            m |= s
-    return m
-
-
-def cofactor_word(w: int, n: int, i: int, c: int) -> int:
-    """Restriction x_i = c, keeping arity n (the fixed slot goes inessential)."""
-    s = 1 << (i - 1)
-    lo = low_mask(n, i)
-    if c == 0:
-        half = w & lo
-        return half | (half << s)
-    half = w & (lo << s)
-    return half | (half >> s)
+def cofactor(values: bytes, k: int, n: int, i: int, c: int) -> bytes:
+    """Table of the restriction x_i = c; the arity stays n, x_i inessential."""
+    step = 8 * k ** (i - 1)
+    fixed = int.from_bytes(values, "little") >> c * step
+    fixed &= _digit_zero(k, n)[i - 1]
+    out = 0
+    for d in range(k):
+        out |= fixed << d * step
+    return out.to_bytes(len(values), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +96,17 @@ def essential_masks(tables: np.ndarray, k: int, n: int) -> np.ndarray:
     return (differs.astype(np.int64) << np.arange(n)).sum(axis=1)
 
 
-def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
-    """One scalar per table, as a machine word where the table fits one."""
+def row_keys(rows: np.ndarray, k: int) -> np.ndarray:
+    """One scalar per table row (last axis), ordered like the rows' ids.
+
+    Binary tables of 8 to 64 cells pack into their id as an unsigned int;
+    any other table is its bytes, last cell first, as a void scalar.
+    """
     cells = rows.shape[-1]
     if k == 2 and cells in (8, 16, 32, 64):
         packed = np.packbits(rows.reshape(-1), bitorder="little")
         return packed.view(f"<u{cells // 8}").reshape(rows.shape[:-1])
-    return np.ascontiguousarray(rows).view(f"V{cells}")[..., 0]
+    return np.ascontiguousarray(rows[..., ::-1]).view(f"V{cells}")[..., 0]
 
 
 def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
@@ -126,7 +123,7 @@ def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
         fixed = [view[:, :, :, c:c + 1].repeat(k, axis=3) for c in range(k)]
         rows = np.concatenate([view, *fixed], axis=1).reshape(
             len(tables), -1, tables.shape[1])
-    keys = _row_keys(rows, k)
+    keys = row_keys(rows, k)
     masks = np.zeros(keys.shape, dtype=np.int64)
     index = np.arange(keys.shape[1])
     for digit, i in enumerate(variables):  # one at a time: O(rows) memory
@@ -211,9 +208,10 @@ def function_lattice(f) -> Lattice:
 
 def sub_closure_word(w: int, n: int) -> dict[int, int]:
     """Sub(w) as {table word: essential mask (bit i-1 for variable i)}."""
+    from .kfun import KFunction  # kfun builds on this module
     lattice = restrictions(tables_from_ids([w], 2, n), 2, range(n))
     keep = distinct(lattice)[0]
-    return {word_from_values(row): mask for row, mask in zip(
+    return {KFunction(2, n, row).word: mask for row, mask in zip(
         lattice.tables[0][keep], lattice.masks[0][keep].tolist())}
 
 

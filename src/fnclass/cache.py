@@ -43,9 +43,13 @@ def save_json(path: Path, payload: dict) -> None:
 
 
 def load_json(path: Path) -> dict | None:
-    if not path.exists():
+    """The JSON object stored at `path`, or None when the file is absent,
+    unreadable, torn or holds anything but an object (callers recompute)."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
         return None
-    return json.loads(path.read_text())
+    return payload if isinstance(payload, dict) else None
 
 
 def save_npz(path: Path, **arrays) -> None:

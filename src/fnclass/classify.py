@@ -174,6 +174,9 @@ class ClassRecord:
     extra: dict = field(default_factory=dict)
 
 
+_RECORD_FIELDS = ("index", "key", "size", "representative")
+
+
 @dataclass
 class ClassificationReport:
     relation: str
@@ -197,6 +200,18 @@ class ClassificationReport:
                          "representative": c.representative, **c.extra}
                         for c in self.classes],
         }
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "ClassificationReport":
+        """Inverse of `to_json_dict` (the assignment is not stored)."""
+        records = [
+            ClassRecord(*(c[name] for name in _RECORD_FIELDS),
+                        extra={k: v for k, v in c.items()
+                               if k not in _RECORD_FIELDS})
+            for c in payload["classes"]
+        ]
+        return cls(payload["relation"], payload["k"], payload["n"],
+                   payload["total"], records)
 
     def csv_rows(self) -> list[list]:
         rows = []

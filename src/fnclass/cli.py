@@ -164,8 +164,7 @@ def cmd_classify(args) -> int:
         path = cache_mod.report_path(base, args.relation, args.k, args.n)
         cached = cache_mod.load_json(path) if args.resume else None
         if cached is not None:
-            from .scan5 import _report_from_json
-            report = _report_from_json(cached)
+            report = ClassificationReport.from_json_dict(cached)
         else:
             report = classify_space(args.k, args.n, args.relation, jobs=jobs,
                                     max_space=args.budget)

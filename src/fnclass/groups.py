@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import bitops
 from .kfun import KFunction
 
 
@@ -451,28 +452,15 @@ def apply(t: Transformation, f: KFunction) -> KFunction:
     return t.apply(f)
 
 
-def _row_keys(rows: np.ndarray, k: int) -> np.ndarray:
-    """One sort key per table row, ordered like the rows' ids.
-
-    The id itself (uint64) while k^(k^n) <= 2^64, which covers P_2^6;
-    beyond that the row's bytes, last cell first, compared as raw memory.
-    """
-    cells = rows.shape[1]
-    if k ** cells <= 1 << 64:
-        weights = np.uint64(k) ** np.arange(cells, dtype=np.uint64)
-        return rows.astype(np.uint64) @ weights
-    return (np.ascontiguousarray(rows[:, ::-1])
-            .view(np.dtype((np.void, cells))).ravel())
-
-
 def _orbit_rows(f: KFunction, gd: GroupDescriptor,
                 max_orbit: int = 1 << 22) -> np.ndarray:
     """Every table of f's orbit as uint8 rows, ascending by id.
 
     A frontier BFS: the images of a whole frontier under every generator
-    are one gather, and new tables are found by looking their keys up among
-    the sorted keys seen so far.  Raises OrbitBudgetError once more than
-    `max_orbit` tables are seen.
+    are one gather, and new tables are found by looking their keys
+    (`bitops.row_keys`, ordered like the ids) up among the sorted keys seen
+    so far.  Raises OrbitBudgetError once more than `max_orbit` tables are
+    seen.
     """
     k, cells = gd.k, gd.k ** gd.n
     gens = group_generators(gd)
@@ -482,11 +470,11 @@ def _orbit_rows(f: KFunction, gd: GroupDescriptor,
                            for t in gens])
     slots = np.arange(0, len(gens) * cells * k, k, dtype=np.int32)
     frontier = np.frombuffer(f.values, dtype=np.uint8)[None, :]
-    seen = _row_keys(frontier, k)  # sorted
+    seen = bitops.row_keys(frontier, k)  # sorted
     rows, keys = [frontier], [seen]
     while True:
         images = outs[frontier[:, doms] + slots].reshape(-1, cells)
-        found, first = np.unique(_row_keys(images, k), return_index=True)
+        found, first = np.unique(bitops.row_keys(images, k), return_index=True)
         at = np.searchsorted(seen, found)
         at[at == len(seen)] = 0
         fresh = seen[at] != found

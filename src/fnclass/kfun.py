@@ -2,8 +2,10 @@
 
 A function is a radix-k table of length k^n.  The point (a_1, ..., a_n) maps
 to table index sum a_i * k^(i-1): variable 1 is the least significant digit.
-For k=2 the table doubles as a machine word (bit i = entry i), which the
-hex serialization and the fast kernels in `bitops` rely on.
+The table read as a k-ary numeral is the function's id; for k=2 that id is
+also the packed word (bit i = entry i) behind the hex serialization.
+Cofactors and essential variables go through `bitops`' table kernel, the
+same code for every radix.
 
 Restrictions (cofactors) keep the arity: fixing x_i = c yields a table of
 the same length that no longer depends on slot i.  Subfunction equality is
@@ -63,8 +65,8 @@ class KFunction:
 
     @classmethod
     def from_word(cls, w: int, n: int) -> "KFunction":
-        """Binary function from a packed truth-table word."""
-        return cls(2, n, bitops.values_from_word(w, n))
+        """Binary function from a packed truth-table word (its id)."""
+        return cls.from_id(w, 2, n)
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "KFunction":
@@ -106,10 +108,10 @@ class KFunction:
 
     @property
     def word(self) -> int:
-        """Packed truth-table word (k = 2 only)."""
+        """Packed truth-table word (k = 2 only): the id."""
         if self.k != 2:
             raise ValueError("word form is defined for k = 2 only")
-        return bitops.word_from_values(self.values)
+        return self.id
 
     @property
     def id(self) -> int:
@@ -153,18 +155,8 @@ class KFunction:
         self._check_var(i)
         if not 0 <= c < self.k:
             raise ValueError(f"constant {c} out of range for Z_{self.k}")
-        if self.k == 2:
-            return KFunction.from_word(
-                bitops.cofactor_word(self.word, self.n, i, c), self.n)
-        s = self.k ** (i - 1)
-        block = s * self.k
-        vals = bytearray(len(self.values))
-        for base in range(0, len(self.values), block):
-            for low in range(s):
-                v = self.values[base + c * s + low]
-                for d in range(self.k):
-                    vals[base + d * s + low] = v
-        return KFunction(self.k, self.n, vals)
+        return KFunction(self.k, self.n,
+                         bitops.cofactor(self.values, self.k, self.n, i, c))
 
     def restrict(self, assignment: PartialAssignment) -> "KFunction":
         """Fix several variables at once (order is immaterial)."""
@@ -181,23 +173,12 @@ class KFunction:
 
     def is_essential(self, i: int) -> bool:
         self._check_var(i)
-        if self.k == 2:
-            return bitops.is_essential_word(self.word, self.n, i)
-        s = self.k ** (i - 1)
-        block = s * self.k
-        for base in range(0, len(self.values), block):
-            for low in range(s):
-                first = self.values[base + low]
-                for d in range(1, self.k):
-                    if self.values[base + d * s + low] != first:
-                        return True
-        return False
+        return bool(bitops.essential_mask(self.values, self.k, self.n)
+                    >> (i - 1) & 1)
 
     def essential_set(self) -> VarSet:
-        if self.k == 2:
-            m = bitops.essential_mask(self.word, self.n)
-            return frozenset(i + 1 for i in range(self.n) if m & (1 << i))
-        return frozenset(i for i in range(1, self.n + 1) if self.is_essential(i))
+        m = bitops.essential_mask(self.values, self.k, self.n)
+        return frozenset(i + 1 for i in range(self.n) if m >> i & 1)
 
     def ess(self) -> int:
         return len(self.essential_set())

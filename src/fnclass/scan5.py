@@ -41,7 +41,6 @@ GE5_ORBITS = 616_126
 
 CKPT_NAME = "scan5_ge_ckpt.npz"
 TRANSVERSAL_NAME = "scan5_ge_transversal.npz"
-REPORT_NAME = "classify_sep_k2n5_v%d.json" % cache_mod.CODE_VERSION
 
 
 def _domain_maps(n: int = _N) -> np.ndarray:
@@ -219,11 +218,11 @@ def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
                   resume: bool = True, progress=None) -> ClassificationReport:
     """Exact sep-classification of all 2^32 binary 5-ary functions."""
     base = cache_mod.cache_dir(cache_dir)
-    report_file = base / REPORT_NAME
+    report_file = cache_mod.report_path(base, "sep", 2, _N)
     if resume:
         payload = cache_mod.load_json(report_file)
         if payload is not None:
-            return _report_from_json(payload)
+            return ClassificationReport.from_json_dict(payload)
 
     reps, sizes = ge_transversal(cache_dir, resume=resume, progress=progress)
 
@@ -251,22 +250,7 @@ def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
     return report
 
 
-def _report_from_json(payload: dict) -> ClassificationReport:
-    records = [
-        ClassRecord(index=c["index"], key=c["key"], size=c["size"],
-                    representative=c["representative"],
-                    extra={k: v for k, v in c.items()
-                           if k not in ("index", "key", "size", "representative")})
-        for c in payload["classes"]
-    ]
-    return ClassificationReport(payload["relation"], payload["k"], payload["n"],
-                                payload["total"], records)
-
-
-def _sample_chunk(args) -> dict:
-    seed, count = args
-    rng = np.random.default_rng(seed)
-    words = rng.integers(0, _SPACE, size=count, dtype=np.uint64)
+def _sample_chunk(words: np.ndarray) -> dict:
     profiles, counts = np.unique(_sep_profiles(words), axis=0,
                                  return_counts=True)
     return {tuple(prof): int(cnt)
@@ -278,15 +262,15 @@ def sample_sep_profiles(count: int = 1_000_000, seed: int = 0,
     """Sep profiles of `count` uniformly sampled functions (direct scan).
 
     Independent of the orbit walk: no canonicalization, no transversal.
+    The sample is drawn once from `seed`, so `jobs` only splits the work.
     """
-    if jobs > 1:
-        per = (count + jobs - 1) // jobs
-        tasks = [(seed + i, min(per, count - i * per))
-                 for i in range(jobs) if count - i * per > 0]
-        merged: dict[tuple[int, ...], int] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_sample_chunk, tasks):
-                for prof, cnt in part.items():
-                    merged[prof] = merged.get(prof, 0) + cnt
-        return merged
-    return _sample_chunk((seed, count))
+    words = np.random.default_rng(seed).integers(0, _SPACE, size=count,
+                                                 dtype=np.uint64)
+    if jobs <= 1:
+        return _sample_chunk(words)
+    merged: dict[tuple[int, ...], int] = {}
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for part in pool.map(_sample_chunk, np.array_split(words, jobs)):
+            for prof, cnt in part.items():
+                merged[prof] = merged.get(prof, 0) + cnt
+    return merged

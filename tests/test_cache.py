@@ -28,3 +28,17 @@ class TestJsonReports:
     def test_missing_returns_none(self, tmp_path):
         assert load_json(tmp_path / "absent.json") is None
 
+
+    def test_damaged_file_returns_none(self, tmp_path):
+        path = report_path(tmp_path, "imp", 2, 2)
+        save_json(path, {"relation": "imp", "classes": []})
+        whole = path.read_bytes()
+        for damaged in (whole[:len(whole) // 2], b"", b"\xff\xfe{}",
+                        b"[1, 2]", b"null", b'"text"'):
+            path.write_bytes(damaged)
+            assert load_json(path) is None
+
+    def test_unreadable_path_returns_none(self, tmp_path):
+        path = report_path(tmp_path, "imp", 2, 2)
+        path.mkdir()
+        assert load_json(path) is None

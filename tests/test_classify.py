@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fnclass.classify import (class_counts, classify_space,
+from fnclass.classify import (ClassificationReport, class_counts,
+                              classify_space,
                               imp_equivalent_direct, imp_key, imp_signature,
                               refinement_check, scan_space, sep_key, sub_key)
 from fnclass.kfun import KFunction
@@ -112,6 +113,16 @@ class TestClassifySpace:
         report = classify_space(2, 2, "ge")
         assert report.class_count() == 4
         assert sum(report.sizes()) == 16
+
+    @pytest.mark.parametrize("k, n, relation", [(2, 3, "sep"), (3, 1, "ge")])
+    def test_json_round_trip(self, k, n, relation):
+        report = classify_space(k, n, relation)
+        payload = report.to_json_dict()
+        back = ClassificationReport.from_json_dict(payload)
+        assert back.classes == report.classes
+        assert (back.relation, back.k, back.n, back.total) == \
+            (relation, k, n, k ** k ** n)
+        assert back.to_json_dict() == payload
 
     def test_parallel_matches_serial(self):
         # P_3^2 has 19683 functions, above the size at which the pool is used

@@ -92,6 +92,19 @@ class TestClassify:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_resume_recomputes_damaged_cache(self, capsys, tmp_path):
+        from fnclass.cache import report_path
+        args = ("classify", "--k", "2", "--n", "2", "--relation", "imp",
+                "--cache-dir", str(tmp_path), "--resume")
+        code1, out1, _ = run_cli(capsys, *args)
+        path = report_path(tmp_path, "imp", 2, 2)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])  # a torn write
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert path.read_bytes() == whole
+
     def test_group_relation(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", "--k", "2", "--n", "2",
                                  "--relation", "ge",

@@ -305,8 +305,8 @@ class TestOrbitOracles:
     @pytest.mark.parametrize("name,k,n", [("ge", 2, 5), ("cf", 2, 7),
                                           ("s", 3, 4)])
     def test_canonical_form_is_element_minimum(self, name, k, n):
-        # P_2^7 and P_3^4 have more than 2^64 functions, so their orbit
-        # expansion dedups on row bytes instead of 64-bit ids
+        # P_2^5 is keyed on the packed id; P_2^7 and P_3^4 (beyond 2^64
+        # functions) on the row bytes, last cell first
         gd = GroupDescriptor(name, k, n)
         rng = random.Random(7)
         f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +181,42 @@ class TestSerialization:
     def test_hex_too_wide(self):
         with pytest.raises(ValueError):
             KFunction.from_hex("1ff", 3)
+
+
+def _points(k, n):
+    """Every point of Z_k^n, x1 varying fastest (the table order)."""
+    return [p[::-1] for p in itertools.product(range(k), repeat=n)]
+
+
+def _oracle_tables(k, n, seed):
+    """Random tables of P_k^n, and tables that ignore some variables."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        yield KFunction(k, n, [rng.randrange(k) for _ in range(k ** n)])
+    for dropped in range(1, n + 1):
+        keep = sorted(rng.sample(range(n), n - dropped))
+        inner = KFunction(k, len(keep),
+                          [rng.randrange(k) for _ in range(k ** len(keep))])
+        yield KFunction(k, n, [inner.eval([p[j] for j in keep])
+                               for p in _points(k, n)])
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (2, 3, 4, 5)
+                                  for n in range(4)] + [(2, 6), (2, 7)])
+def test_pointwise_oracle(k, n):
+    # only eval is trusted: f(x_i := c) at p is f at p with p_i replaced
+    points = _points(k, n)
+    for f in _oracle_tables(k, n, seed=10 * k + n):
+        for i in range(1, n + 1):
+            moved = False
+            for c in range(k):
+                fc = f.cofactor(i, c)
+                for p in points:
+                    q = p[:i - 1] + (c,) + p[i:]
+                    assert fc.eval(p) == f.eval(q)
+                    moved = moved or f.eval(p) != f.eval(q)
+            assert f.is_essential(i) == moved
+            assert (i in f.essential_set()) == moved
 
 
 @settings(max_examples=200, deadline=None)

@@ -102,3 +102,19 @@ def test_single_function_lattice_varies_essential_variables_only():
     assert separable_sets(f) == separable_sets(small)
     assert imp_count(f) == imp_count(small) == 32
     assert len(subfunctions(f)) == len(subfunctions(small)) == 13
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (2, 6), (2, 7), (3, 2)])
+def test_row_keys_sort_like_ids(k, n):
+    # packed ids for binary tables of 8-64 cells, reversed bytes otherwise
+    rng = random.Random(10 * k + n)
+    fs = [KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
+          for _ in range(48)]
+    fs += fs[:8]  # equal tables need equal keys
+    keys = bitops.row_keys(
+        np.array([np.frombuffer(f.values, np.uint8) for f in fs]), k)
+    ids = [f.id for f in fs]
+    by_key = np.argsort(keys, kind="stable").tolist()
+    assert by_key == sorted(range(len(fs)), key=ids.__getitem__)
+    assert [keys[i] == keys[j] for i in range(len(fs)) for j in range(8)] == \
+        [ids[i] == ids[j] for i in range(len(fs)) for j in range(8)]
