@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitops
+from . import cache as cache_mod
 from .diagrams import imp_count
 from .groups import GROUP_NAMES, GroupDescriptor, orbit_partition
 from .kfun import KFunction
@@ -174,7 +175,16 @@ class ClassRecord:
     extra: dict = field(default_factory=dict)
 
 
-_RECORD_FIELDS = ("index", "key", "size", "representative")
+_RECORD_FIELDS = {"index": int, "key": str, "size": int,
+                  "representative": str}
+_REPORT_FIELDS = {"relation": str, "k": int, "n": int, "total": int,
+                  "classes": list}
+
+
+def _require(obj, fields: dict, what: str) -> None:
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(name), kind)
+                                          for name, kind in fields.items())):
+        raise ValueError(f"cannot decode {what}: {obj!r:.80}")
 
 
 @dataclass
@@ -203,7 +213,13 @@ class ClassificationReport:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ClassificationReport":
-        """Inverse of `to_json_dict` (the assignment is not stored)."""
+        """Inverse of `to_json_dict` (the assignment is not stored).
+
+        Raises ValueError for a payload that is not such a report.
+        """
+        _require(payload, _REPORT_FIELDS, "classification report")
+        for c in payload["classes"]:
+            _require(c, _RECORD_FIELDS, "class record")
         records = [
             ClassRecord(*(c[name] for name in _RECORD_FIELDS),
                         extra={k: v for k, v in c.items()
@@ -212,6 +228,20 @@ class ClassificationReport:
         ]
         return cls(payload["relation"], payload["k"], payload["n"],
                    payload["total"], records)
+
+    @classmethod
+    def load_cached(cls, path, relation: str, k: int,
+                    n: int) -> "ClassificationReport | None":
+        """The (relation, k, n) report cached at `path`, or None when the
+        file is absent, cannot be decoded or holds another space (callers
+        recompute)."""
+        try:  # an absent file loads as None, which does not decode either
+            report = cls.from_json_dict(cache_mod.load_json(path))
+        except ValueError:
+            return None
+        if (report.relation, report.k, report.n) != (relation, k, n):
+            return None
+        return report
 
     def csv_rows(self) -> list[list]:
         rows = []

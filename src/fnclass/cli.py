@@ -162,10 +162,10 @@ def cmd_classify(args) -> int:
                                resume=args.resume)
     else:
         path = cache_mod.report_path(base, args.relation, args.k, args.n)
-        cached = cache_mod.load_json(path) if args.resume else None
-        if cached is not None:
-            report = ClassificationReport.from_json_dict(cached)
-        else:
+        report = (ClassificationReport.load_cached(path, args.relation,
+                                                   args.k, args.n)
+                  if args.resume else None)
+        if report is None:
             report = classify_space(args.k, args.n, args.relation, jobs=jobs,
                                     max_space=args.budget)
             cache_mod.save_json(path, report.to_json_dict())

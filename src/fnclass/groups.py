@@ -13,14 +13,18 @@ and affine ones (lg, a, axa1, rag) require a prime radix.
 
 `Transformation` and `group_elements` are the element-level API and the
 oracle the orbit machinery is tested against.  The orbit machinery itself
-works on numpy arrays from the generators only: `orbit_partition` turns
-each generator into a permutation of the function ids and propagates
-minimum labels until they settle; `canonical_form` expands one orbit as a
-frontier BFS over table rows, one gather per level.
+works on numpy arrays from the generators only: `orbit_partition` keeps
+each generator's action on the function ids as a few partial-sum tables
+of at most ID_TABLE entries, rebuilds the id permutation from them as one
+broadcast sum per round and propagates minimum labels until they settle,
+and `count_orbits` counts the ids that are their own label;
+`canonical_form` expands one orbit as a frontier BFS over table rows, one
+gather per level.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -359,7 +363,12 @@ def group_elements(gd: GroupDescriptor) -> Iterator[Transformation]:
 
 
 def group_generators(gd: GroupDescriptor) -> list[Transformation]:
-    """A small generating set (used by the orbit scans)."""
+    """A small generating set (used by the orbit scans); a new list per call."""
+    return list(_generators(gd))
+
+
+@functools.lru_cache(maxsize=64)
+def _generators(gd: GroupDescriptor) -> tuple[Transformation, ...]:
     k, n = gd.k, gd.n
     gens: list[Transformation] = []
 
@@ -441,7 +450,7 @@ def group_generators(gd: GroupDescriptor) -> list[Transformation]:
         add_s(); add_value_perms(); add_output_perms()
     if not gens:
         gens.append(identity(k, n))
-    return gens
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -504,28 +513,29 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
 
 # -- whole-space scans (small spaces) ---------------------------------------
 
-def _space_columns(k: int, n: int) -> np.ndarray:
-    """(k^n, k^(k^n)) uint8: cell c of every table of the space, by id."""
-    cells = k ** n
-    columns = np.empty((cells, k ** cells), dtype=np.uint8)
-    rem = np.arange(k ** cells, dtype=np.int64)
-    for c in range(cells):
-        rem, columns[c] = np.divmod(rem, k)
-    return columns
+ID_TABLE = 256  # entries per partial-sum table of a generator's id action
 
 
-def _generator_permutation(t: Transformation,
-                           columns: np.ndarray) -> np.ndarray:
-    """perm[id] = the id of t applied to the table with that id."""
-    cells, size = columns.shape
-    dtype = np.int32 if size <= 1 << 31 else np.int64
-    # cell x of the image is out_maps[x][cell domain_map[x]] at weight k^x
-    weighted = (np.asarray(t.out_maps, dtype)
-                * t.k ** np.arange(cells, dtype=dtype)[:, None])
-    perm = np.zeros(size, dtype=dtype)
-    for x, src in enumerate(t.domain_map):
-        perm += weighted[x][columns[src]]
-    return perm
+def _outer_sum(parts) -> np.ndarray:
+    """Every sum of one entry per part, the first part most significant."""
+    return functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), parts)
+
+
+def _id_tables(t: Transformation) -> list[np.ndarray]:
+    """t's action on ids as partial-sum tables, highest cells first.
+
+    t sends id = sum_s k^s v_s to sum_s W[s][v_s], where
+    W[s][v] = k^x out_maps[x][v] for the cell x with domain_map[x] = s.
+    The cells are grouped into chunks of c, the most with k^c <= ID_TABLE,
+    and each chunk's W rows are summed into one table of k^c entries, so
+    the id permutation is `_outer_sum` of the tables.
+    """
+    k, cells = t.k, len(t.domain_map)
+    x = np.argsort(t.domain_map)
+    w = np.asarray(t.out_maps, np.intp)[x] * k ** x[:, None]
+    c = next(c for c in itertools.count(1) if k ** (c + 1) > ID_TABLE)
+    return [_outer_sum(w[lo:lo + c][::-1])
+            for lo in range(0, cells, c)][::-1]
 
 
 def orbit_partition(gd: GroupDescriptor,
@@ -536,20 +546,21 @@ def orbit_partition(gd: GroupDescriptor,
     lowers a label to the labels of its images and preimages under every
     generator, then jumps pointers (lab = lab[lab]).  A label only ever
     falls to another id of the same orbit, so the fixed point is the orbit
-    minimum.
+    minimum.  Only each generator's `_id_tables` (a few KB) are kept; its
+    intp id permutation is rebuilt from them as one broadcast sum per
+    round, which is cheaper than holding it and than indexing with int32.
     """
     size = gd.k ** (gd.k ** gd.n)
     if size > max_space:
         raise OrbitBudgetError(
             f"space of {size} functions exceeds the scan budget {max_space}")
-    columns = _space_columns(gd.k, gd.n)
-    perms = [_generator_permutation(t, columns) for t in group_generators(gd)]
-    del columns
-    lab = np.arange(size, dtype=perms[0].dtype)
+    tables = [_id_tables(t) for t in group_generators(gd)]
+    lab = np.arange(size, dtype=np.intp)
     pulled = np.empty_like(lab)
     while True:
         before = lab.copy()
-        for perm in perms:
+        for parts in tables:
+            perm = _outer_sum(parts)
             np.minimum(lab, lab[perm], out=lab)  # from the image
             pulled[perm] = lab                   # from the preimage
             np.minimum(lab, pulled, out=lab)
@@ -568,6 +579,9 @@ def orbit_transversal(gd: GroupDescriptor,
 
 
 def count_orbits(gd: GroupDescriptor, max_space: int = 1 << 22) -> int:
-    """t(G): the number of orbits of the group on the whole function space."""
+    """t(G): the number of orbits of the group on the whole function space.
+
+    Each orbit has exactly one id that is its own label, its minimum.
+    """
     labels = orbit_partition(gd, max_space=max_space)
-    return int(np.unique(labels).size)
+    return int(np.count_nonzero(labels == np.arange(labels.size)))

@@ -220,9 +220,9 @@ def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
     base = cache_mod.cache_dir(cache_dir)
     report_file = cache_mod.report_path(base, "sep", 2, _N)
     if resume:
-        payload = cache_mod.load_json(report_file)
-        if payload is not None:
-            return ClassificationReport.from_json_dict(payload)
+        report = ClassificationReport.load_cached(report_file, "sep", 2, _N)
+        if report is not None:
+            return report
 
     reps, sizes = ge_transversal(cache_dir, resume=resume, progress=progress)
 

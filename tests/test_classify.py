@@ -197,6 +197,18 @@ class TestReportSerialization:
         for rec in payload["classes"]:
             assert {"index", "key", "size", "representative"} <= set(rec)
 
+    @pytest.mark.parametrize("damage", [
+        lambda p: [],                               # not an object
+        lambda p: {k: v for k, v in p.items() if k != "total"},
+        lambda p: {**p, "classes": {}},             # classes not a list
+        lambda p: {**p, "classes": [[1, "E:0", 2, "0x3"]]},
+        lambda p: {**p, "classes": [{**p["classes"][0], "size": "2"}]},
+    ])
+    def test_undecodable_payload_raises_value_error(self, damage):
+        payload = damage(classify_space(2, 2, "sep").to_json_dict())
+        with pytest.raises(ValueError):
+            ClassificationReport.from_json_dict(payload)
+
     def test_csv_rows(self):
         report = classify_space(2, 2, "imp")
         rows = report.csv_rows()

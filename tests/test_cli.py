@@ -105,6 +105,30 @@ class TestClassify:
         assert out1 == out2
         assert path.read_bytes() == whole
 
+    @pytest.mark.parametrize("cached", [
+        {},
+        {"relation": "imp", "k": 2, "n": 2, "total": 16,  # a record lacks key
+         "classes": [{"index": 1, "size": 16, "representative": "0"}]},
+        ("imp", 2, 1),  # another space's report
+        ("sub", 2, 2),  # another relation's report
+    ], ids=["empty", "record-without-key", "other-space", "other-relation"])
+    def test_resume_recomputes_undecodable_or_foreign_cache(
+            self, capsys, tmp_path, cached):
+        from fnclass.cache import report_path, save_json
+        from fnclass.classify import classify_space
+        args = ("classify", "--k", "2", "--n", "2", "--relation", "imp",
+                "--format", "json", "--cache-dir", str(tmp_path))
+        code1, fresh, _ = run_cli(capsys, *args)
+        path = report_path(tmp_path, "imp", 2, 2)
+        whole = path.read_bytes()
+        if isinstance(cached, tuple):
+            cached = classify_space(*cached[1:], cached[0]).to_json_dict()
+        save_json(path, cached)
+        code2, out, _ = run_cli(capsys, *args, "--resume")
+        assert code1 == code2 == 0
+        assert out == fresh
+        assert path.read_bytes() == whole
+
     def test_group_relation(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", "--k", "2", "--n", "2",
                                  "--relation", "ge",

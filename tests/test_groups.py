@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from fnclass.groups import (GroupDescriptor, OrbitBudgetError, Transformation,
-                            add_linear, affine, arg_translate, canonical_form,
-                            count_orbits, group_elements, group_generators,
+from fnclass.groups import (GROUP_NAMES, GroupDescriptor, OrbitBudgetError,
+                            Transformation, _generators, _id_tables,
+                            _outer_sum, add_linear, affine, arg_translate,
+                            canonical_form, count_orbits, group_elements,
+                            group_generators,
                             identity, orbit_partition, orbit_transversal,
                             output_image, output_map, output_translate,
                             var_perm, var_perm_value_maps)
@@ -139,6 +141,14 @@ class TestEnumeration:
                 frontier = new
             assert len(closure) == gd.order(), name
 
+    def test_generators_are_cached_copies(self):
+        gd = GroupDescriptor("ge", 2, 3)
+        first, second = group_generators(gd), group_generators(gd)
+        assert first == second == list(_generators.__wrapped__(gd))
+        first.clear()
+        second.append(identity(2, 3))
+        assert group_generators(gd) == list(_generators.__wrapped__(gd))
+
     def test_unknown_group(self):
         with pytest.raises(ValueError):
             GroupDescriptor("npn", 2, 2)
@@ -258,7 +268,8 @@ class TestOutputImage:
 
 ORACLE_SPACES = [(name, k, n) for k, n in ((2, 3), (3, 2))
                  for name in ("s", "ca", "g", "ge", "cf", "lf", "lg", "a",
-                              "axa1", "rag", "fullsym")]
+                              "axa1", "rag", "fullsym")] + \
+    [(name, 2, 4) for name in ("s", "ca", "g", "ge", "cf", "lf", "fullsym")]
 
 
 def burnside_orbits(elements, k):
@@ -294,7 +305,7 @@ class TestOrbitOracles:
         elements = list(group_elements(gd))
         labels = orbit_partition(gd)
         assert int(np.unique(labels).size) == count_orbits(gd) == \
-            burnside_orbits(elements, k)
+            len(orbit_transversal(gd)) == burnside_orbits(elements, k)
         rng = random.Random(f"{name}{k}{n}")
         for x in rng.sample(range(labels.size), 4):
             f = KFunction.from_id(x, k, n)
@@ -313,3 +324,29 @@ class TestOrbitOracles:
         form = canonical_form(f, gd)
         assert form.id == min(t.apply(f).id for t in group_elements(gd))
         assert canonical_form(form, gd) == form
+
+
+# -- the id permutations of the orbit partition, against Transformation.apply
+
+def _all_generators(k, n):
+    """The distinct generators of every group on P_k^n (k prime)."""
+    gens = {t for name in GROUP_NAMES
+            for t in group_generators(GroupDescriptor(name, k, n))}
+    return sorted(gens, key=lambda t: (t.domain_map, t.out_maps))
+
+
+class TestIdPermutations:
+    # P_7^1 has 3 full chunks of 2 cells and a short last one; n = 0 has a
+    # single cell; P_2^4 has two full chunks
+    @pytest.mark.parametrize("k,n", [(2, 0), (3, 0), (2, 1), (2, 2), (2, 3),
+                                     (3, 1), (3, 2), (5, 1), (7, 1), (2, 4)])
+    def test_permutation_matches_apply(self, k, n):
+        size = k ** k ** n
+        ids = (range(size) if size <= 20_000
+               else random.Random(f"{k}{n}").sample(range(size), 2000))
+        for t in _all_generators(k, n):
+            perm = _outer_sum(_id_tables(t))
+            assert perm.shape == (size,) and perm.dtype == np.intp
+            assert (np.bincount(perm, minlength=size) == 1).all()
+            expected = [t.apply(KFunction.from_id(x, k, n)).id for x in ids]
+            assert perm[list(ids)].tolist() == expected, t

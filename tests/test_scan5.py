@@ -242,6 +242,40 @@ class TestTransversalCache:
         assert (tmp_path / "scan5_ge_transversal.npz").exists()
 
 
+def _p2_2_sep_report():
+    from fnclass.classify import classify_space
+    return classify_space(2, 2, "sep").to_json_dict()
+
+
+def _sub_report_of_p2_5():  # a decodable report of another relation
+    return {**_p2_2_sep_report(), "relation": "sub", "n": 5, "total": 1 << 32}
+
+
+class TestReportCache:
+    @pytest.mark.parametrize("cached", [
+        dict,
+        lambda: {"relation": "sep", "k": 2, "n": 5, "total": 1 << 32,
+                 "classes": [{"index": 1, "key": "V:0:0:0:0:0", "size": 2}]},
+        _p2_2_sep_report,
+        _sub_report_of_p2_5,
+    ], ids=["empty", "record-without-rep", "other-space", "other-relation"])
+    def test_undecodable_or_foreign_report_is_recomputed(
+            self, tmp_path, monkeypatch, cached):
+        import fnclass.scan5 as scan5
+        from fnclass.cache import load_json, report_path, save_json
+        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
+        # a stand-in transversal: the constant 0 and a projection
+        monkeypatch.setattr(scan5, "ge_transversal", lambda *a, **kw: (
+            np.array([0, 0xAAAAAAAA], dtype=np.uint64),
+            np.array([2, 10], dtype=np.int64)))
+        path = report_path(tmp_path, "sep", 2, 5)
+        save_json(path, cached())
+        report = sep_scan_p2_5(cache_dir=str(tmp_path))
+        assert [(c.extra["sep_vector"], c.size) for c in report.classes] == \
+            [([0, 0, 0, 0, 0], 2), ([1, 0, 0, 0, 0], 10)]
+        assert load_json(path) == report.to_json_dict()
+
+
 @pytest.mark.slow
 class TestFullScan:
     def test_full_scan_if_cached(self):
