@@ -25,6 +25,9 @@ import numpy as np
 BLOCK = 256
 #: Single-function lattices kept, so one function's measures share one.
 LATTICE_CACHE = 16
+#: Cells (functions x rows x table cells) one lattice may hold, about 128 MiB
+#: of uint8 tables; larger lattices raise MemoryError before allocating.
+LATTICE_CELLS = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +112,28 @@ def row_keys(rows: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(rows[..., ::-1]).view(f"V{cells}")[..., 0]
 
 
+@lru_cache(maxsize=LATTICE_CACHE)
+def _fixed_to_zero(k: int, m: int) -> tuple[np.ndarray, ...]:
+    """Per digit, each lattice row with that digit fixed to 0 if it is free."""
+    index = np.arange((k + 1) ** m)
+    steps = ((k + 1) ** digit for digit in range(m))
+    return tuple(np.where(index // step % (k + 1) == 0, index + step, index)
+                 for step in steps)
+
+
 def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
     """The restriction lattice of each row of `tables` (N, k^n) uint8.
 
     Row rho has base-(k+1) digit 0 (x free) or c+1 (x = c) per listed
     variable; the others stay free, which loses nothing where they are
     inessential.  x is essential in a row iff fixing it to 0 changes it.
+    Raises MemoryError, before allocating, above `LATTICE_CELLS` cells.
     """
     variables = tuple(variables)
+    cells = len(tables) * (k + 1) ** len(variables) * tables.shape[1]
+    if cells > LATTICE_CELLS:
+        raise MemoryError(f"restriction lattice of {cells} cells exceeds the "
+                          f"budget of {LATTICE_CELLS}")
     rows = tables[:, None, :]
     for i in variables:
         view = rows.reshape(rows.shape[:2] + (-1, k, k ** i))
@@ -125,12 +142,11 @@ def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
             len(tables), -1, tables.shape[1])
     keys = row_keys(rows, k)
     masks = np.zeros(keys.shape, dtype=np.int64)
-    index = np.arange(keys.shape[1])
-    for digit, i in enumerate(variables):  # one at a time: O(rows) memory
-        step = (k + 1) ** digit
-        zero = np.where(index // step % (k + 1) == 0, index + step, index)
+    # one variable at a time: O(rows) memory
+    for zero, i in zip(_fixed_to_zero(k, len(variables)), variables):
         masks |= (keys != keys[:, zero]).astype(np.int64) << i
     return Lattice(rows, keys, masks, variables)
+
 
 
 def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
@@ -169,30 +185,41 @@ def sep_counts(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=LATTICE_CACHE)
-def _imp_levels(m: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Binary lattice rows with two free variables or more, by that count,
-    with their children rho[x := 0] and rho[x := 1] per digit; children of
-    a fixed digit are clipped into range (its essential bit is 0)."""
-    rows = np.arange(3 ** m)
-    step = 3 ** np.arange(m)[:, None]
-    free = (rows // step % 3 == 0).sum(axis=0)
-    return [(level, np.minimum(level + step, rows[-1]),
-             np.minimum(level + 2 * step, rows[-1]))
-            for level in (rows[free == count] for count in range(2, m + 1))]
+def _imp_levels(m: int, k: int) -> tuple[np.ndarray, list]:
+    """The lattice rows sorted by their number of free variables (row 0,
+    all free, last), and per number from 1 up its slice of that order with
+    the children rho[x := c] as positions in it, a (k, m, rows) array
+    indexed (c, digit); children of a fixed digit are clipped into range
+    (its essential bit is 0)."""
+    rows = np.arange((k + 1) ** m)
+    step = (k + 1) ** np.arange(m)[:, None]
+    free = (rows // step % (k + 1) == 0).sum(axis=0)
+    order = np.argsort(free, kind="stable")
+    position = np.empty_like(order)
+    position[order] = rows
+    bounds = np.searchsorted(free[order], np.arange(m + 2))
+    value = np.arange(1, k + 1)[:, None, None]
+    levels = []
+    for count in range(1, m + 1):
+        part = slice(bounds[count], bounds[count + 1])
+        children = np.minimum(order[part] + value * step, rows[-1])
+        levels.append((part, position[children]))
+    return order, levels
 
 
-def imp_counts(lattice: Lattice) -> np.ndarray:
-    """(N,) imp of binary functions, level by level over free variables:
-    1 at ess 0, 2 at ess 1, else the sum over essential x of
-    imp(rho[x := 0]) + imp(rho[x := 1])."""
-    masks, bits = lattice.masks, np.array(lattice.variables, np.int64)[:, None]
-    ess = np.bitwise_count(masks)
-    imp = np.where(ess == 0, 1, 2).astype(np.int64)
-    for level, zero, one in _imp_levels(len(lattice.variables)):
-        kids = ((masks[:, None, level] >> bits) & 1) * (imp[:, zero] + imp[:, one])
-        imp[:, level] = np.where(ess[:, level] >= 2, kids.sum(axis=1),
-                                 imp[:, level])
-    return imp[:, 0]
+def imp_counts(lattice: Lattice, k: int) -> np.ndarray:
+    """(N,) imp of the functions, level by level over free variables:
+    imp(rho) = [rho constant] + the sum over essential x and c in Z_k of
+    imp(rho[x := c]), that is 1 at ess 0, k at ess 1 and the sum above."""
+    order, levels = _imp_levels(len(lattice.variables), k)
+    masks = lattice.masks[:, order]
+    bits = np.array(lattice.variables, np.int64)[:, None]
+    essential = (masks[:, None, :] >> bits) & 1
+    imp = (masks == 0).astype(np.int64)
+    for part, children in levels:
+        imp[:, part] += (imp[:, children].sum(axis=1)
+                         * essential[:, :, part]).sum(axis=1)
+    return imp[:, -1]
 
 
 @lru_cache(maxsize=LATTICE_CACHE)

@@ -117,12 +117,8 @@ def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
     low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
     out = {}
     for rel in relations:
-        if rel == "imp" and k == 2:
-            value = bitops.imp_counts(lattice)[:, None]
-        elif rel == "imp":  # k > 2: enumeration, the ground truth
-            value = np.array([[imp_count(KFunction(k, n, t.tobytes())) if e == 2
-                               else 0] for t, e in zip(tables, low[:, 0])],
-                             dtype=np.int64)
+        if rel == "imp":
+            value = bitops.imp_counts(lattice, k)[:, None]
         elif rel == "sub":  # the range rule for single-variable functions
             rng = np.bitwise_or.reduce(np.int64(1) << tables, axis=1)
             value = np.where(low == 1, rng[:, None], bitops.sub_counts(lattice, n))

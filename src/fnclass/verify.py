@@ -373,13 +373,8 @@ def _check_imp_recursion(pools, mutant, rng):
                 continue
             checked += 1
             enum = len(dg.implementations(f))
-            if k == 2 and dg.imp_count(f) != enum:
+            if dg.imp_count(f) != enum or dg.imp_count_recursive(f) != enum:
                 return False, checked, f.table_text()
-            if dg.imp_count_recursive(f) != enum:
-                note = "generalized recursion mismatch (k > 2 is experimental)"
-                if k == 2:
-                    return False, checked, f.table_text()
-                return False, checked, f"{f.table_text()} ({note})"
     return True, checked, None
 
 

@@ -10,6 +10,40 @@ from fnclass.classify import (ClassificationReport, class_counts,
 from fnclass.kfun import KFunction
 from fnclass.spform import parse
 
+# P_3^2 classes: (key, size, representative, imp/sub/sep total)
+P32_CLASSES = {
+    "imp": [
+        ("E:0", 3, "0,0,0,0,0,0,0,0,0", 1),
+        ("V:10", 54, "1,0,0,0,0,0,0,0,0", 10),
+        ("V:12", 216, "1,1,0,0,0,0,0,0,0", 12),
+        ("E:1", 48, "1,1,1,0,0,0,0,0,0", 3),
+        ("V:14", 2484, "2,1,1,0,0,0,0,0,0", 14),
+        ("V:16", 7128, "0,1,1,1,0,0,0,0,0", 16),
+        ("V:18", 9750, "0,1,1,1,0,0,1,0,0", 18),
+    ],
+    "sub": [
+        ("E0", 3, "0,0,0,0,0,0,0,0,0", 1),
+        ("V:2:2:1", 216, "1,0,0,0,0,0,0,0,0", 5),
+        ("V:3:3:1", 864, "2,1,0,0,0,0,0,0,0", 7),
+        ("E1:(0, 1)", 12, "1,1,1,0,0,0,0,0,0", 3),
+        ("E1:(0, 2)", 12, "2,2,2,0,0,0,0,0,0", 3),
+        ("V:2:4:1", 594, "0,1,0,1,0,0,0,0,0", 7),
+        ("V:3:4:1", 2538, "2,1,0,1,0,0,0,0,0", 8),
+        ("V:2:3:1", 216, "1,1,1,1,0,0,0,0,0", 6),
+        ("V:3:5:1", 6120, "0,2,1,1,0,0,0,0,0", 9),
+        ("V:2:5:1", 216, "1,0,1,1,1,0,0,0,0", 8),
+        ("E1:(0, 1, 2)", 12, "2,2,2,1,1,1,0,0,0", 4),
+        ("V:3:6:1", 8616, "0,2,1,2,0,0,1,0,0", 10),
+        ("V:2:6:1", 252, "0,0,1,0,1,0,1,0,0", 9),
+        ("E1:(1, 2)", 12, "2,2,2,1,1,1,1,1,1", 3),
+    ],
+    "sep": [
+        ("E:0", 3, "0,0,0,0,0,0,0,0,0", 0),
+        ("V:2:1", 19632, "1,0,0,0,0,0,0,0,0", 3),
+        ("E:1", 48, "1,1,1,0,0,0,0,0,0", 1),
+    ],
+}
+
 
 class TestImpSignature:
     def test_constants_share_signature(self):
@@ -133,6 +167,13 @@ class TestClassifySpace:
                     for c in serial[rel].classes] == \
                 [(c.key, c.size, c.representative)
                  for c in parallel[rel].classes]
+
+    def test_ternary_binary_space_pinned(self):
+        # pinned from imp by enumeration of every ordering
+        reports = scan_space(3, 2, ("imp", "sub", "sep"))
+        got = {rel: [(c.key, c.size, c.representative, c.extra[rel])
+                     for c in reports[rel].classes] for rel in reports}
+        assert got == P32_CLASSES
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError):

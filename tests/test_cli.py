@@ -47,6 +47,21 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_lattice_budget_exit_code(self, capsys):
+        # 9 ternary essential variables: a 4^9 x 3^9 lattice, refused unbuilt
+        import tracemalloc
+        expr = " + ".join(f"x{i}" for i in range(1, 10))
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "analyze", "--k", "3", "--n", "9",
+                                   "--expr", expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "budget" in err.lower()
+        assert peak < 64 << 20
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "analyze")
         assert code == 2

@@ -183,7 +183,7 @@ class TestImpCount:
             assert dg.imp_count_recursive(f) == dg.imp_count(f)
 
     def test_general_recursion_matches_enumeration_for_k3(self):
-        # experimental cross-check on the whole unary and sampled binary space
+        # against enumeration on all unary and sampled binary functions
         import random
         rng = random.Random(5)
         for ident in range(27):

@@ -77,11 +77,30 @@ def test_kernel_matches_definition(k, n, count):
 def test_binary_imp_matches_enumeration(n, count):
     fns = functions(2, n, count)
     tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
-    got = bitops.imp_counts(bitops.restrictions(tables, 2, range(n)))
+    got = bitops.imp_counts(bitops.restrictions(tables, 2, range(n)), 2)
     for f, imp in zip(fns, got.tolist()):
         want = len(implementations(f))
         assert (imp, imp_count(f), imp_count_word(f.word, n)) == \
             (want, want, want), f
+
+
+@pytest.mark.parametrize("k,n,count", [
+    (3, 2, None), (3, 3, 200), (4, 2, 300), (3, 4, 6)])
+def test_imp_kernel_matches_enumeration(k, n, count):
+    # the k-generic recursion counts every label path of every ordering
+    fns = functions(k, n, count)
+    tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
+    got = bitops.imp_counts(bitops.restrictions(tables, k, range(n)), k)
+    assert got.tolist() == [len(implementations(f)) for f in fns]
+    for f, imp in list(zip(fns, got.tolist()))[::max(1, len(fns) // 50)]:
+        assert imp_count(f) == imp, f
+
+
+def test_lattice_budget_refuses_before_allocating():
+    # 4^9 rows of 3^9 cells per function, about 5 GB each
+    tables = np.zeros((2, 3 ** 9), np.uint8)
+    with pytest.raises(MemoryError, match="budget"):
+        bitops.restrictions(tables, 3, range(9))
 
 
 def test_lattice_row_zero_is_the_function():

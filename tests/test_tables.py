@@ -1,7 +1,8 @@
 import pytest
 
+from fnclass.groups import GroupDescriptor, group_elements
 from fnclass.tables import (EXAMPLE_VALUES, FIGURE4, TABLE3, TABLE3_AVERAGES,
-                            TABLE4, TABLE5, reproduce_table)
+                            TABLE4, TABLE4_ROW5, TABLE5, reproduce_table)
 
 
 class TestFixtureConsistency:
@@ -30,6 +31,33 @@ class TestFixtureConsistency:
     def test_figure4_consistent_with_table4(self):
         assert FIGURE4["g"] == (TABLE4[3][0], TABLE4[4][0])
         assert EXAMPLE_VALUES["imp_f"] == 33
+
+
+class TestTable4Row5:
+    def test_g_orbits_by_burnside(self):
+        # the mean number of functions an element of g fixes: along each
+        # cycle of its domain map a fixed f takes a fixed value of the
+        # composed output maps, which then determines the rest of the cycle
+        elements = list(group_elements(GroupDescriptor("g", 2, 5)))
+        assert len(elements) == 3840
+        total = 0
+        for t in elements:
+            fixed, visited = 1, set()
+            for start in range(len(t.domain_map)):
+                if start in visited:
+                    continue
+                composed, x = [0, 1], start
+                while x not in visited:
+                    visited.add(x)
+                    composed = [composed[t.out_maps[x][v]] for v in range(2)]
+                    x = t.domain_map[x]
+                fixed *= sum(composed[v] == v for v in range(2))
+            total += fixed
+        assert total % len(elements) == 0
+        assert total // len(elements) == TABLE4_ROW5["g"] == 1_228_158
+
+    def test_sep_class_count_is_table5(self):
+        assert TABLE4_ROW5["sep"] == len(TABLE5) == 38
 
 
 class TestReproduction:
