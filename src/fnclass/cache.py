@@ -4,10 +4,8 @@ Layout (under the directory from --cache-dir, the FNCLASS_CACHE environment
 variable, or ~/.cache/fnclass):
 
     classify_<relation>_k<k>n<n>_v<version>.json   sealed classification reports
-    scan5_ge_ckpt.npz                              resumable transversal state
-    scan5_ge_transversal.npz                       finished orbit transversal
 
-Every file is written to a temporary name and then renamed over its final
+Every report is written to a temporary name and then renamed over its final
 name, so an interrupted write never leaves a torn file behind.
 """
 
@@ -16,8 +14,6 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-
-import numpy as np
 
 CODE_VERSION = 1
 
@@ -51,9 +47,3 @@ def load_json(path: Path) -> dict | None:
         return None
     return payload if isinstance(payload, dict) else None
 
-
-def save_npz(path: Path, **arrays) -> None:
-    """np.savez via a temporary name that ends in .npz, as np.savez wants."""
-    tmp = path.with_name(path.stem + ".tmp.npz")
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)

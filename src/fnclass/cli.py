@@ -158,8 +158,7 @@ def cmd_classify(args) -> int:
     args.relation = chosen[0]
     if (args.k, args.n, args.relation) == (2, 5, "sep"):
         from .scan5 import sep_scan_p2_5
-        report = sep_scan_p2_5(cache_dir=args.cache_dir, jobs=jobs,
-                               resume=args.resume)
+        report = sep_scan_p2_5(cache_dir=args.cache_dir, resume=args.resume)
     else:
         path = cache_mod.report_path(base, args.relation, args.k, args.n)
         report = (ClassificationReport.load_cached(path, args.relation,
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=0)
     p.add_argument("--cache-dir", default=os.environ.get("FNCLASS_CACHE"))
     p.add_argument("--resume", action="store_true",
-                   help="reuse cached results and checkpoints")
+                   help="reuse cached results")
     p.add_argument("--budget", type=int, default=1 << 22,
                    help="largest directly scannable space")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -1,46 +1,42 @@
 """Separability classification of the full 2^32-function space P_2^5.
 
-Strategy: sep profiles are invariant under variable permutation, argument
-complementation and output complementation, so the space is covered by the
-orbits of that group (7680 elements).  Phase one walks the space in id
-order, expanding each unseen function's orbit with vectorized bit
-permutations and marking members in a 512 MiB bitmap; this yields one
-minimal representative and the exact orbit size per orbit.  Phase two
-computes the sep profiles of the representatives in blocks on the
-restriction-lattice kernel (`bitops`) and accumulates class cardinalities
-weighted by orbit size.
+Strategy: write f = f0 + 2^(2^(n-1)) f1 by its x_n-cofactors.  The 3^n rows
+of f's restriction lattice are then the rows of f0 (x_n = 0), the rows of
+f1 (x_n = 1) and the x_n-free rows, each essential in the variables of the
+two rows below it, plus x_n where those differ.  So every sep profile of
+P_2^n is read off one P_2^(n-1) lattice (`bitops`), pair by pair through
+the 64-bit set of the essential masks present.  Profiles are invariant
+under H, the ge group of x_1..x_(n-1) acting on both cofactors at once, so
+f0 only runs over the 222 orbit minima of H on P_2^4, weighted by orbit
+size, while f1 runs over all 2^16 functions.
 
-The walk checkpoints its bitmap and partial transversal, so interrupted
-runs resume.  The finished transversal is cached and reused only while it
-passes checks against the orbit count from Burnside's lemma and the size of
-the space.  A direct (orbit-free) scan over a random sample is provided
-as an independent verifier.
+`_domain_maps` and `_orbit` expand ge orbits on P_2^n by bit permutations,
+an orbit engine independent of `groups` that the two cross-check, and
+`sample_sep_profiles` is a direct (orbit-free) scan over a random sample,
+an independent check of the join.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bitops
 from . import cache as cache_mod
 from .classify import ClassRecord, ClassificationReport, merge_class_counts
+from .groups import GroupDescriptor, orbit_partition
 from .kfun import KFunction
 
 _N = 5
-_CELLS = 32
 _SPACE = 1 << 32
 _ALL_ONES = np.uint64(0xFFFFFFFF)
-_GROUP_ORDER = 7680  # 5! permutations * 2^5 shifts * 2 output complements
-# orbits of that group on P_2^5, by Burnside's lemma (tests re-derive it)
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
+# orbits on P_2^5 of its ge group (5! permutations * 2^5 shifts * 2 output
+# complements = 7680 elements), by Burnside's lemma (tests re-derive it)
 GE5_ORBITS = 616_126
-
-CKPT_NAME = "scan5_ge_ckpt.npz"
-TRANSVERSAL_NAME = "scan5_ge_transversal.npz"
 
 
 def _domain_maps(n: int = _N) -> np.ndarray:
@@ -81,119 +77,6 @@ def _orbit(w: int, maps: np.ndarray, n: int = _N) -> np.ndarray:
     return np.unique(np.concatenate([images, images ^ ones]))
 
 
-class _Bitmap:
-    """Seen-marks for 2^32 ids in one uint8 array."""
-
-    def __init__(self, data: np.ndarray | None = None):
-        self.data = np.zeros(_SPACE >> 3, dtype=np.uint8) if data is None else data
-
-    def mark_many(self, ids: np.ndarray) -> None:
-        np.bitwise_or.at(self.data, (ids >> np.uint64(3)).astype(np.int64),
-                         np.uint8(1) << (ids & np.uint64(7)).astype(np.uint8))
-
-    def next_clear(self, start: int) -> int | None:
-        byte = start >> 3
-        data = self.data
-        # finish the current byte bit by bit
-        if byte < data.size and data[byte] != 0xFF:
-            for bit in range(start & 7, 8):
-                if not data[byte] & (1 << bit):
-                    return (byte << 3) | bit
-        byte += 1
-        chunk = 1 << 20
-        while byte < data.size:
-            seg = data[byte:byte + chunk]
-            hole = np.flatnonzero(seg != 0xFF)
-            if hole.size:
-                b = byte + int(hole[0])
-                v = int(data[b])
-                for bit in range(8):
-                    if not v & (1 << bit):
-                        return (b << 3) | bit
-            byte += chunk
-        return None
-
-
-def _load_transversal(path) -> tuple[np.ndarray, np.ndarray] | None:
-    """A cached (reps, sizes) pair, or None when the file is absent or fails
-    the checks a transversal of P_2^5 must pass: GE5_ORBITS strictly
-    ascending representatives whose orbit sizes divide the group order and
-    add up to the whole space."""
-    try:
-        with open(path, "rb") as fh:
-            data = np.load(fh)
-            reps, sizes = data["reps"], data["sizes"]
-    except (OSError, EOFError, LookupError, ValueError, zipfile.BadZipFile):
-        return None
-    if (reps.shape != (GE5_ORBITS,) or sizes.shape != reps.shape
-            or not np.all(reps[1:] > reps[:-1])
-            or sizes.min() < 1 or np.any(_GROUP_ORDER % sizes)
-            or int(sizes.sum()) != _SPACE):
-        return None
-    return reps, sizes
-
-
-def ge_transversal(cache_dir: str | None = None, resume: bool = True,
-                   checkpoint_seconds: float = 300.0,
-                   progress=None) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit minima and orbit sizes covering all of P_2^5.
-
-    Returns (reps, sizes) as uint64/int64 arrays; the result is cached (a
-    cached file that fails `_load_transversal`'s checks is walked again),
-    and an interrupted walk restarts from its last checkpoint.
-    """
-    base = cache_mod.cache_dir(cache_dir)
-    done = base / TRANSVERSAL_NAME
-    if resume:
-        cached = _load_transversal(done)
-        if cached is not None:
-            return cached
-
-    maps = _domain_maps()
-
-    ckpt = base / CKPT_NAME
-    if resume and ckpt.exists():
-        state = np.load(ckpt)
-        bitmap = _Bitmap(state["seen"].copy())
-        pos = int(state["pos"])
-        reps = list(state["reps"])
-        sizes = list(state["sizes"])
-    else:
-        bitmap = _Bitmap()
-        pos = 0
-        reps, sizes = [], []
-
-    def save_checkpoint(at: int) -> None:
-        cache_mod.save_npz(ckpt, seen=bitmap.data, pos=np.int64(at),
-                           reps=np.array(reps, dtype=np.uint64),
-                           sizes=np.array(sizes, dtype=np.int64))
-
-    last_save = time.time()
-    nxt = bitmap.next_clear(pos)
-    try:
-        while nxt is not None:
-            orbit = _orbit(nxt, maps)
-            bitmap.mark_many(orbit)
-            reps.append(nxt)
-            sizes.append(orbit.size)
-            if time.time() - last_save >= checkpoint_seconds:
-                save_checkpoint(nxt)
-                last_save = time.time()
-                if progress:
-                    progress(len(reps), nxt)
-            nxt = bitmap.next_clear(nxt + 1)
-    except KeyboardInterrupt:
-        save_checkpoint(nxt if nxt is not None else _SPACE - 1)
-        raise
-
-    reps_arr = np.array(reps, dtype=np.uint64)
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    cache_mod.save_npz(done, reps=reps_arr, sizes=sizes_arr)
-    if ckpt.exists():
-        ckpt.unlink()
-    return reps_arr, sizes_arr
-
-
 def _sep_profiles(words: np.ndarray) -> np.ndarray:
     """(len(words), 5) sep vectors of table words, bitops.BLOCK at a time."""
     out = np.empty((len(words), _N), dtype=np.uint8)
@@ -204,18 +87,96 @@ def _sep_profiles(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile_chunk(args) -> dict:
-    reps, sizes = args  # reps ascend, so a profile's first rep is its least
-    profiles, first, inverse = np.unique(
-        _sep_profiles(reps), axis=0, return_index=True, return_inverse=True)
-    # float sums of orbit sizes are exact: they stay below 2^33
-    counts = np.bincount(inverse.reshape(-1), weights=sizes)
-    return {tuple(prof): [int(cnt), int(reps[i])] for prof, cnt, i
-            in zip(profiles.tolist(), counts, first)}
+class _Cofactors(NamedTuple):
+    """The restriction lattice of every function of P_2^m, one column each."""
+
+    keys: np.ndarray     # (3^m, 2^(2^m)) row keys, equal where the rows are
+    masks: np.ndarray    # (3^m, 2^(2^m)) uint8 essential masks
+    present: np.ndarray  # (2^(2^m),) uint64, bit e set iff some mask is e
 
 
-def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
-                  resume: bool = True, progress=None) -> ClassificationReport:
+def _cofactors(m: int) -> _Cofactors:
+    """P_2^m's lattice, built `bitops.BLOCK` functions at a time."""
+    size = 1 << (1 << m)
+    keys = masks = None
+    for lo in range(0, size, bitops.BLOCK):
+        ids = np.arange(lo, min(lo + bitops.BLOCK, size))
+        lattice = bitops.restrictions(bitops.tables_from_ids(ids, 2, m), 2,
+                                      range(m))
+        if keys is None:
+            keys = np.empty((lattice.keys.shape[1], size), lattice.keys.dtype)
+            masks = np.empty(keys.shape, np.uint8)
+        keys[:, ids] = lattice.keys.T
+        masks[:, ids] = lattice.masks.T
+    return _Cofactors(keys, masks, _mask_sets(masks, np.zeros(size, np.uint64)))
+
+
+def _mask_sets(masks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ORs bit e into `out`, per column, for each mask e in the column."""
+    for row in masks:
+        out |= _BIT[row]
+    return out
+
+
+def _pair_profiles(cof: _Cofactors, f0: int, n: int) -> np.ndarray:
+    """Packed sep profile of f0 + 2^(2^(n-1)) f1 for every f1 of P_2^(n-1).
+
+    The rows with x_n fixed are those of f0 and f1 (`cof.present`); an
+    x_n-free row is essential in mask0 | mask1, and in x_n where the two
+    restrictions differ.  sep_s sits in bits 8(s-1) to 8s - 1.
+    """
+    free = cof.masks | cof.masks[:, f0, None]
+    free |= (cof.keys != cof.keys[:, f0, None]).view(np.uint8) << (n - 1)
+    present = _mask_sets(free, cof.present | cof.present[f0])
+    arity = np.bitwise_count(np.arange(1 << n))
+    code = np.zeros(present.shape, np.int64)
+    for s in range(1, n + 1):
+        sets = np.bitwise_or.reduce(_BIT[:1 << n][arity == s])
+        code |= np.bitwise_count(present & sets).astype(np.int64) << 8 * (s - 1)
+    return code
+
+
+def _unpack(code: int, n: int) -> tuple[int, ...]:
+    return tuple(code >> 8 * s & 0xFF for s in range(n))
+
+
+def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
+    """{sep profile: [count, least id]} over all of P_2^n (2 <= n <= 6).
+
+    f0 runs over the orbit minima r of H, the ge group of x_1..x_(n-1)
+    acting on both cofactors at once, weighted by |H r|; f1 runs over the
+    whole space.  A class's least f1 is the least orbit label of its f1s,
+    and one pass over every f0 at that f1 gives its least f0: the profile
+    is symmetric in f0 and f1, swapping them is the x_n shift.
+    """
+    m = n - 1
+    cof = _cofactors(m)
+    lab = orbit_partition(GroupDescriptor("ge", 2, m))
+    minima = np.flatnonzero(lab == np.arange(lab.size))
+    weights = np.bincount(lab)[minima]
+    if int(weights.sum()) != lab.size:  # sum_r |H r| = 2^(2^(n-1))
+        raise RuntimeError("orbit labels are not orbit minima")
+    classes: dict[int, list[int]] = {}
+    for r, weight in zip(minima.tolist(), weights.tolist()):
+        codes, inverse, counts = np.unique(_pair_profiles(cof, r, n),
+                                           return_inverse=True,
+                                           return_counts=True)
+        least = np.full(codes.size, lab.size)
+        np.minimum.at(least, inverse, lab)
+        merge_class_counts(classes, {
+            code: [weight * cnt, f1] for code, cnt, f1
+            in zip(codes.tolist(), counts.tolist(), least.tolist())})
+    out = {}
+    for f1 in {f1 for _, f1 in classes.values()}:
+        codes, first = np.unique(_pair_profiles(cof, f1, n), return_index=True)
+        for code, f0 in zip(codes.tolist(), first.tolist()):
+            if classes[code][1] == f1:
+                out[_unpack(code, n)] = [classes[code][0], f0 | f1 << (1 << m)]
+    return out
+
+
+def sep_scan_p2_5(cache_dir: str | None = None,
+                  resume: bool = True) -> ClassificationReport:
     """Exact sep-classification of all 2^32 binary 5-ary functions."""
     base = cache_mod.cache_dir(cache_dir)
     report_file = cache_mod.report_path(base, "sep", 2, _N)
@@ -224,21 +185,9 @@ def sep_scan_p2_5(cache_dir: str | None = None, jobs: int = 1,
         if report is not None:
             return report
 
-    reps, sizes = ge_transversal(cache_dir, resume=resume, progress=progress)
-
-    counts: dict[tuple[int, ...], list] = {}
-    if jobs > 1:
-        chunk = (len(reps) + jobs * 8 - 1) // (jobs * 8)
-        tasks = [(reps[i:i + chunk], sizes[i:i + chunk])
-                 for i in range(0, len(reps), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_profile_chunk, tasks):
-                merge_class_counts(counts, part)
-    else:
-        counts = _profile_chunk((reps, sizes))
-
     records = []
-    ordered = sorted(counts.items(), key=lambda item: tuple(reversed(item[0])))
+    ordered = sorted(_sep_join(_N).items(),
+                     key=lambda item: tuple(reversed(item[0])))
     for idx, (prof, (cnt, rep_w)) in enumerate(ordered):
         rep = KFunction.from_word(rep_w, _N)
         records.append(ClassRecord(

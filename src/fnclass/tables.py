@@ -9,7 +9,7 @@ Available tables:
     table1   imp-classes of the 2-variable binary functions
     table3   the full classification of P_2^3 (sep / sub / imp / genus)
     table4   class counts t(G), t(imp), t(sub), t(sep) for n = 1..4
-    table5   sep-classes of P_2^5 (requires the finished full scan)
+    table5   sep-classes of P_2^5 (the cofactor join over P_2^4, seconds)
     figure4  orbit counts of the affine-lattice groups on P_2^3 / P_2^4
 """
 
@@ -251,10 +251,10 @@ def _reproduce_table4(jobs: int = 1) -> TableResult:
     return _diff(TableResult("table4", header, rows, expected))
 
 
-def _reproduce_table5(cache_dir: str | None = None, jobs: int = 1) -> TableResult:
+def _reproduce_table5(cache_dir: str | None = None) -> TableResult:
     from .scan5 import sep_scan_p2_5
 
-    report = sep_scan_p2_5(cache_dir=cache_dir, jobs=jobs)
+    report = sep_scan_p2_5(cache_dir=cache_dir, resume=False)
     header = ["sep_1", "sep_2", "sep_3", "sep_4", "sep_5", "sep", "class_size"]
     rows = [[*c.extra["sep_vector"], c.extra["sep"], c.size]
             for c in report.classes]
@@ -283,7 +283,7 @@ def reproduce_table(name: str, cache_dir: str | None = None,
     if name == "table4":
         return _reproduce_table4(jobs=jobs)
     if name == "table5":
-        return _reproduce_table5(cache_dir=cache_dir, jobs=jobs)
+        return _reproduce_table5(cache_dir=cache_dir)
     if name == "figure4":
         return _reproduce_figure4(jobs=jobs)
     raise ValueError(f"unknown table {name!r}; choose from {TABLE_NAMES}")

@@ -26,6 +26,9 @@ from .kfun import KFunction
 from .spform import parse
 
 MUTANTS = ("no-remove-rule",)
+#: Most functions one exhaustive sweep may list (all of P_2^4); a larger
+#: space raises MemoryError before any function is built.
+EXHAUSTIVE_POOL = 1 << 16
 
 
 @dataclass
@@ -73,6 +76,10 @@ def _sampled(k: int, n: int, count: int, rng: random.Random):
 def _function_pool(k: int, n_exhaustive: int, n_sampled: int, samples: int,
                    seed: int):
     """(k, n, iterator) triples covering the requested sweep."""
+    # k^64 > 2^16, so capping the exponent keeps the test exact and cheap
+    if k ** min(k ** n_exhaustive, 64) > EXHAUSTIVE_POOL:
+        raise MemoryError(f"exhaustive sweep of P_{k}^{n_exhaustive} exceeds "
+                          f"the pool limit of {EXHAUSTIVE_POOL} functions")
     rng = random.Random(seed)
     pools = []
     for n in range(n_exhaustive + 1):

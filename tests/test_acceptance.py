@@ -110,26 +110,20 @@ def test_criterion_6_group_orbit_counts():
     report("criterion 6: affine-lattice orbit counts", ok)
 
 
-def test_criterion_7_five_variable_separability():
+def test_criterion_7_five_variable_separability(tmp_path, monkeypatch):
     rows = {vec: size for vec, _, size in TABLE5}
-    # mandatory sampled fallback: (a) every observed profile is a table row,
-    # (b) observed profiles match the tabulated vectors exactly
+    # the independent sampled oracle: (a) every observed profile is a table
+    # row, (b) observed profiles match the tabulated vectors exactly
     counts = sample_sep_profiles(count=1_000_000, seed=0, jobs=JOBS)
     ok = sum(counts.values()) == 1_000_000
     for profile in counts:
         ok = ok and profile in rows
         ok = ok and sum(profile) == next(t for v, t, _ in TABLE5 if v == profile)
-    # full reproduction when the finished scan is available
-    from fnclass import cache as cache_mod
-    base = cache_mod.cache_dir(None)
-    if (base / "scan5_ge_transversal.npz").exists():
-        result = reproduce_table("table5", jobs=JOBS)
-        ok = ok and result.ok
-        note = "full scan verified"
-    else:
-        note = "sampled fallback only (run `fnclass classify --k 2 --n 5 " \
-               "--relation sep` for the full scan)"
-    report(f"criterion 7: five-variable separability classes ({note})", ok)
+    # and the full table, recomputed into an empty cache
+    monkeypatch.delenv("FNCLASS_CACHE", raising=False)
+    ok = ok and reproduce_table("table5", cache_dir=str(tmp_path)).ok
+    report("criterion 7: five-variable separability classes "
+           "(full table and sample)", ok)
 
 
 CRITERION_8_CHECKS = [

@@ -193,6 +193,19 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is True
 
+    def test_exhaustive_pool_limit_exit_code(self, capsys):
+        # P_3^3 has 3^27 functions: refused before any is listed
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "verify", "--k", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "budget" in err.lower()
+        assert peak < 16 << 20
+
 
 class TestParse:
     def test_round_trip_fields(self, capsys):

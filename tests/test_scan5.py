@@ -2,12 +2,23 @@ import numpy as np
 import pytest
 
 from fnclass.bitops import sep_profile_word
-from fnclass.scan5 import (GE5_ORBITS, _Bitmap, _domain_maps,
-                           _load_transversal, _orbit, ge_transversal,
+from fnclass.classify import classify_space
+from fnclass.groups import GroupDescriptor, orbit_partition
+from fnclass.kfun import KFunction
+from fnclass.scan5 import (GE5_ORBITS, _cofactors, _domain_maps, _orbit,
+                           _pair_profiles, _sep_join, _unpack,
                            sample_sep_profiles, sep_scan_p2_5)
 from fnclass.tables import TABLE5
 
 TABLE5_PROFILES = {vec: size for vec, _, size in TABLE5}
+
+# least ids of the 38 classes in report order, as the orbit walk found them
+TABLE5_REPRESENTATIVES = """
+    00000000 0000ffff 000000ff 000ff0ff 0000000f 0003c0c3 0003cccf 000003cf
+    03cff3c0 00030ff3 00000003 00018081 000f3355 00018889 001bff1b 035af35a
+    00034477 013dc1fd 00035ff3 00000189 00034447 0001aaab 000001ab 00010aa1
+    003fdd1d 000305f3 0000001b 00013cc1 00001bd8 000103c1 000108f9 01abfda8
+    00010ff1 0000013d 00010247 000f1bd8 0001033d 00000001""".split()
 
 
 class TestOrbitKernel:
@@ -53,19 +64,32 @@ class TestOrbitKernel:
             assert np.array_equal(orb, other)
 
 
-class TestBitmap:
-    def test_mark_and_scan(self):
-        bm = _Bitmap(np.zeros(1 << 29, dtype=np.uint8))
-        bm.mark_many(np.array([0, 1, 2, 5], dtype=np.uint64))
-        assert bm.next_clear(0) == 3
-        assert bm.next_clear(4) == 4
-        assert bm.next_clear(6) == 6
-        bm.mark_many(np.arange(0, 100000, dtype=np.uint64))
-        assert bm.next_clear(0) == 100000
+class TestCofactorJoin:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_direct_scan(self, n):
+        want = {tuple(c.extra["sep_vector"]): (c.size, c.representative)
+                for c in classify_space(2, n, "sep").classes}
+        got = {prof: (cnt, KFunction.from_word(rep, n).table_text())
+               for prof, (cnt, rep) in _sep_join(n).items()}
+        assert got == want
 
-    def test_end_of_space(self):
-        bm = _Bitmap(np.full(1 << 29, 0xFF, dtype=np.uint8))
-        assert bm.next_clear(0) is None
+    def test_pair_profiles_match_the_lattice(self):
+        # f0 over orbit minima and over arbitrary functions; the set
+        # counting must agree with sep_counts on the whole 243-row lattice
+        cof = _cofactors(4)
+        rng = np.random.default_rng(11)
+        lab = orbit_partition(GroupDescriptor("ge", 2, 4))
+        minima = np.flatnonzero(lab == np.arange(lab.size))
+        others = rng.integers(0, 1 << 16, size=20)
+        assert np.any(lab[others] != others)
+        pairs = 0
+        for f0 in [*rng.choice(minima, size=6).tolist(), *others.tolist()]:
+            codes = _pair_profiles(cof, f0, 5)
+            for f1 in rng.integers(0, 1 << 16, size=8).tolist():
+                assert _unpack(int(codes[f1]), 5) == \
+                    sep_profile_word(f0 | f1 << 16, 5)
+                pairs += 1
+        assert pairs >= 200
 
 
 class TestSampledProfiles:
@@ -106,142 +130,6 @@ class TestSampledProfiles:
             assert sep_profile_word(int(w), 5) == want
 
 
-def synthetic_transversal():
-    """Shaped like a P_2^5 transversal: GE5_ORBITS ascending ids whose
-    sizes divide 7680 and add up to 2^32 (not the real orbits)."""
-    reps = np.arange(GE5_ORBITS, dtype=np.uint64) * np.uint64(5)
-    sizes = np.repeat(np.array([256, 3840, 7680], dtype=np.int64),
-                      [1, 113_769, 502_356])
-    assert sizes.size == GE5_ORBITS and sizes.sum() == 1 << 32
-    return reps, sizes
-
-
-def _drop_last(reps, sizes):
-    return reps[:-1], sizes[:-1]
-
-
-def _double_one_size(reps, sizes):  # sizes still divide 7680
-    sizes[1] = 7680
-    return reps, sizes
-
-
-def _swap_two_reps(reps, sizes):
-    reps[[5, 6]] = reps[[6, 5]]
-    return reps, sizes
-
-
-def _repeat_a_rep(reps, sizes):
-    reps[6] = reps[5]
-    return reps, sizes
-
-
-def _non_divisor_size(reps, sizes):  # the sum is kept
-    sizes[0], sizes[1] = 255, 3841
-    return reps, sizes
-
-
-def _empty_orbit(reps, sizes):
-    sizes[0] = 0
-    return reps, sizes
-
-
-class TestTransversalCache:
-    def test_finished_transversal_reloaded_verbatim(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        reps, sizes = synthetic_transversal()
-        np.savez(tmp_path / "scan5_ge_transversal.npz", reps=reps, sizes=sizes)
-        got_reps, got_sizes = ge_transversal(cache_dir=str(tmp_path))
-        assert np.array_equal(got_reps, reps)
-        assert np.array_equal(got_sizes, sizes)
-
-    @pytest.mark.parametrize("corrupt", [
-        _drop_last, _double_one_size, _swap_two_reps, _repeat_a_rep,
-        _non_divisor_size, _empty_orbit])
-    def test_inconsistent_transversal_is_rejected(self, tmp_path, corrupt):
-        reps, sizes = corrupt(*synthetic_transversal())
-        path = tmp_path / "scan5_ge_transversal.npz"
-        np.savez(path, reps=reps, sizes=sizes)
-        assert _load_transversal(path) is None
-
-    def test_unreadable_transversal_is_rejected(self, tmp_path):
-        reps, sizes = synthetic_transversal()
-        path = tmp_path / "scan5_ge_transversal.npz"
-        assert _load_transversal(path) is None  # absent
-        np.savez(path, reps=reps)
-        assert _load_transversal(path) is None  # no sizes
-        np.savez(path, reps=reps, sizes=sizes)
-        whole = path.read_bytes()
-        path.write_bytes(whole[:len(whole) // 2])
-        assert _load_transversal(path) is None  # torn
-        path.write_bytes(b"")
-        assert _load_transversal(path) is None
-        np.save(tmp_path / "plain.npy", reps)
-        (tmp_path / "plain.npy").replace(path)
-        assert _load_transversal(path) is None  # a bare array
-
-    def test_rejected_transversal_is_recomputed(self, tmp_path, monkeypatch):
-        import fnclass.scan5 as scan5
-
-        class WalkStarted(Exception):
-            pass
-
-        def start_walk():
-            raise WalkStarted
-
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        monkeypatch.setattr(scan5, "_domain_maps", start_walk)
-        reps, sizes = _drop_last(*synthetic_transversal())
-        np.savez(tmp_path / "scan5_ge_transversal.npz", reps=reps, sizes=sizes)
-        with pytest.raises(WalkStarted):
-            ge_transversal(cache_dir=str(tmp_path))
-
-    def test_stray_temporary_file_is_never_loaded(self, tmp_path,
-                                                  monkeypatch):
-        # a 64-id space whose orbits are singletons, checkpointed after
-        # every orbit; the stray file claims every id is already seen
-        import fnclass.scan5 as scan5
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        monkeypatch.setattr(scan5, "_SPACE", 64)
-        monkeypatch.setattr(scan5, "_domain_maps", lambda: None)
-        monkeypatch.setattr(scan5, "_orbit", lambda w, maps: np.array(
-            [w], dtype=np.uint64))
-        np.savez(tmp_path / "scan5_ge_ckpt.tmp.npz",
-                 seen=np.full(8, 0xFF, dtype=np.uint8), pos=np.int64(63),
-                 reps=np.array([5], dtype=np.uint64),
-                 sizes=np.array([64], dtype=np.int64))
-        reps, sizes = ge_transversal(cache_dir=str(tmp_path),
-                                     checkpoint_seconds=0.0)
-        assert reps.tolist() == list(range(64))
-        assert sizes.tolist() == [1] * 64
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["scan5_ge_transversal.npz"]
-
-    def test_resume_appends_remaining_orbits(self, tmp_path, monkeypatch):
-        # checkpoint state: everything seen except two chosen targets (plus
-        # their orbits); resume must pick them up in id order and finish
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        maps = _domain_maps(5)
-        targets = [2_000_000_011, 4_000_000_007]
-        orbits = {t: _orbit(t, maps, 5) for t in targets}
-        seen = np.full(1 << 29, 0xFF, dtype=np.uint8)
-        for t in targets:
-            idx = orbits[t]
-            seen[(idx >> np.uint64(3)).astype(np.int64)] &= np.uint8(
-                0xFF) ^ (np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8))
-        prefix_reps = np.array([0, 1], dtype=np.uint64)
-        prefix_sizes = np.array([2, 7680], dtype=np.int64)
-        np.savez(tmp_path / "scan5_ge_ckpt.npz", seen=seen,
-                 pos=np.int64(2), reps=prefix_reps, sizes=prefix_sizes)
-        reps, sizes = ge_transversal(cache_dir=str(tmp_path))
-        expected = sorted({(int(orbits[t].min()), orbits[t].size)
-                           for t in targets})
-        assert list(reps[:2]) == [0, 1]
-        assert [(int(r), int(s)) for r, s in
-                zip(reps[2:], sizes[2:])] == expected
-        assert not (tmp_path / "scan5_ge_ckpt.npz").exists()
-        assert (tmp_path / "scan5_ge_transversal.npz").exists()
-
-
 def _p2_2_sep_report():
     from fnclass.classify import classify_space
     return classify_space(2, 2, "sep").to_json_dict()
@@ -264,10 +152,9 @@ class TestReportCache:
         import fnclass.scan5 as scan5
         from fnclass.cache import load_json, report_path, save_json
         monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        # a stand-in transversal: the constant 0 and a projection
-        monkeypatch.setattr(scan5, "ge_transversal", lambda *a, **kw: (
-            np.array([0, 0xAAAAAAAA], dtype=np.uint64),
-            np.array([2, 10], dtype=np.int64)))
+        # a stand-in join: the constants and the projections
+        monkeypatch.setattr(scan5, "_sep_join", lambda n: {
+            (0, 0, 0, 0, 0): [2, 0], (1, 0, 0, 0, 0): [10, 0xAAAAAAAA]})
         path = report_path(tmp_path, "sep", 2, 5)
         save_json(path, cached())
         report = sep_scan_p2_5(cache_dir=str(tmp_path))
@@ -276,14 +163,12 @@ class TestReportCache:
         assert load_json(path) == report.to_json_dict()
 
 
-@pytest.mark.slow
 class TestFullScan:
-    def test_full_scan_if_cached(self):
-        # runs from the cached transversal when available; skips otherwise
-        from fnclass import cache as cache_mod
-        base = cache_mod.cache_dir(None)
-        if not (base / "scan5_ge_transversal.npz").exists():
-            pytest.skip("full transversal not computed on this machine")
-        report = sep_scan_p2_5(jobs=2)
-        got = {tuple(c.extra["sep_vector"]): c.size for c in report.classes}
-        assert got == TABLE5_PROFILES
+    def test_full_scan(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
+        report = sep_scan_p2_5(cache_dir=str(tmp_path), resume=False)
+        assert [(tuple(c.extra["sep_vector"]), c.extra["sep"], c.size)
+                for c in report.classes] == list(TABLE5)
+        assert [c.representative for c in report.classes] == \
+            TABLE5_REPRESENTATIVES
+        assert report.total == sum(c.size for c in report.classes) == 1 << 32

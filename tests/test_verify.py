@@ -1,5 +1,7 @@
+import pytest
+
 from fnclass.kfun import KFunction
-from fnclass.verify import run_checks
+from fnclass.verify import EXHAUSTIVE_POOL, _function_pool, run_checks
 
 
 def test_default_profile_all_pass():
@@ -46,3 +48,10 @@ def test_results_serialize():
     payload = run.to_json_dict()
     assert payload["ok"] is True
     assert payload["checks"][0]["name"] == "cofactor-laws"
+
+
+def test_exhaustive_pool_limit():
+    # all of P_2^4 still fits; P_4^2 (4^16 functions) is refused unlisted
+    assert len(_function_pool(2, 4, 4, 0, 0)[-1][2]) == EXHAUSTIVE_POOL
+    with pytest.raises(MemoryError):
+        _function_pool(4, 2, 2, 0, 0)
