@@ -6,8 +6,7 @@ one essential variable are equivalent when their essential variables can be
 matched so that, per variable, the k cofactors are equivalent up to a value
 permutation.  That is decided here through a canonical signature: the
 sorted multiset, over essential variables, of the sorted multiset of the
-cofactor signatures.  Signatures are serialized to bytes so they compare
-and hash identically across worker processes.
+cofactor signatures, serialized to bytes.
 
 Subfunction equivalence compares the sub_m count vectors (with the range
 rule for single-variable functions); separability equivalence compares the
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitops
-from . import cache as cache_mod
 from .diagrams import imp_count
 from .groups import GROUP_NAMES, GroupDescriptor, orbit_partition
 from .kfun import KFunction
@@ -171,18 +169,6 @@ class ClassRecord:
     extra: dict = field(default_factory=dict)
 
 
-_RECORD_FIELDS = {"index": int, "key": str, "size": int,
-                  "representative": str}
-_REPORT_FIELDS = {"relation": str, "k": int, "n": int, "total": int,
-                  "classes": list}
-
-
-def _require(obj, fields: dict, what: str) -> None:
-    if not (isinstance(obj, dict) and all(isinstance(obj.get(name), kind)
-                                          for name, kind in fields.items())):
-        raise ValueError(f"cannot decode {what}: {obj!r:.80}")
-
-
 @dataclass
 class ClassificationReport:
     relation: str
@@ -207,38 +193,6 @@ class ClassificationReport:
                         for c in self.classes],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ClassificationReport":
-        """Inverse of `to_json_dict` (the assignment is not stored).
-
-        Raises ValueError for a payload that is not such a report.
-        """
-        _require(payload, _REPORT_FIELDS, "classification report")
-        for c in payload["classes"]:
-            _require(c, _RECORD_FIELDS, "class record")
-        records = [
-            ClassRecord(*(c[name] for name in _RECORD_FIELDS),
-                        extra={k: v for k, v in c.items()
-                               if k not in _RECORD_FIELDS})
-            for c in payload["classes"]
-        ]
-        return cls(payload["relation"], payload["k"], payload["n"],
-                   payload["total"], records)
-
-    @classmethod
-    def load_cached(cls, path, relation: str, k: int,
-                    n: int) -> "ClassificationReport | None":
-        """The (relation, k, n) report cached at `path`, or None when the
-        file is absent, cannot be decoded or holds another space (callers
-        recompute)."""
-        try:  # an absent file loads as None, which does not decode either
-            report = cls.from_json_dict(cache_mod.load_json(path))
-        except ValueError:
-            return None
-        if (report.relation, report.k, report.n) != (relation, k, n):
-            return None
-        return report
-
     def csv_rows(self) -> list[list]:
         rows = []
         for c in self.classes:
@@ -249,10 +203,7 @@ class ClassificationReport:
     CSV_HEADER = ["class", "key", "size", "representative"]
 
 
-def _key_str(key) -> str:
-    if isinstance(key, bytes):
-        import hashlib
-        return "sig:" + hashlib.sha256(key).hexdigest()[:16]
+def _key_str(key: tuple) -> str:
     return ":".join(str(x) for x in key)
 
 
@@ -342,7 +293,14 @@ def scan_space(k: int, n: int, relations=RELATIONS, jobs: int = 1,
 def classify_space(k: int, n: int, relation: str, jobs: int = 1,
                    keep_assignment: bool = False,
                    max_space: int = 1 << 22) -> ClassificationReport:
-    """Partition P_k^n under one relation: imp, sub, sep, or a group name."""
+    """Partition P_k^n under one relation: imp, sub, sep, or a group name.
+
+    P_2^5 under sep, 2^32 functions, comes from the cofactor join of
+    `scan5.sep_scan_p2_5`, which keeps no per-function assignment.
+    """
+    if (k, n, relation) == (2, 5, "sep") and not keep_assignment:
+        from .scan5 import sep_scan_p2_5
+        return sep_scan_p2_5()
     if relation in RELATIONS:
         return scan_space(k, n, (relation,), jobs=jobs,
                           keep_assignment=keep_assignment,

@@ -9,6 +9,9 @@ Subcommands:
     verify     run the structural property checks
     parse      parse an expression, print its table and canonical form
 
+Every command recomputes its result and writes no file except --out;
+--cache-dir and --resume are still accepted and ignored.
+
 Exit codes: 0 success, 1 verification/diff failure, 2 usage error,
 3 budget exceeded.
 """
@@ -19,10 +22,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
-from . import cache as cache_mod
 from . import diagrams as dg
 from . import separability as sp
 from . import spform
@@ -150,24 +151,12 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    jobs = args.jobs or default_jobs()
-    base = cache_mod.cache_dir(args.cache_dir)
     chosen = [s for s in (args.relation, args.group) if s]
     if len(chosen) != 1:
         raise SystemExit2("exactly one of --relation/--group is required")
-    args.relation = chosen[0]
-    if (args.k, args.n, args.relation) == (2, 5, "sep"):
-        from .scan5 import sep_scan_p2_5
-        report = sep_scan_p2_5(cache_dir=args.cache_dir, resume=args.resume)
-    else:
-        path = cache_mod.report_path(base, args.relation, args.k, args.n)
-        report = (ClassificationReport.load_cached(path, args.relation,
-                                                   args.k, args.n)
-                  if args.resume else None)
-        if report is None:
-            report = classify_space(args.k, args.n, args.relation, jobs=jobs,
-                                    max_space=args.budget)
-            cache_mod.save_json(path, report.to_json_dict())
+    report = classify_space(args.k, args.n, chosen[0],
+                            jobs=args.jobs or default_jobs(),
+                            max_space=args.budget)
     if args.format == "json":
         _emit(args, json.dumps(report.to_json_dict(), indent=1, sort_keys=True))
     else:
@@ -179,8 +168,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    jobs = args.jobs or default_jobs()
-    result = reproduce_table(args.name, cache_dir=args.cache_dir, jobs=jobs)
+    result = reproduce_table(args.name, jobs=args.jobs or default_jobs())
     if args.format == "json":
         payload = {"name": result.name, "header": result.header,
                    "rows": result.rows, "ok": result.ok,
@@ -259,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", help="imp | sub | sep (profile relations)")
     p.add_argument("--group", help="orbit relation: " + " | ".join(GROUP_NAMES))
     p.add_argument("--jobs", type=int, default=0)
-    p.add_argument("--cache-dir", default=os.environ.get("FNCLASS_CACHE"))
+    p.add_argument("--cache-dir", help="ignored: nothing is cached")
     p.add_argument("--resume", action="store_true",
-                   help="reuse cached results")
+                   help="ignored: every run recomputes")
     p.add_argument("--budget", type=int, default=1 << 22,
                    help="largest directly scannable space")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -273,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diff", action="store_true",
                    help="exit nonzero when any cell differs from the fixture")
     p.add_argument("--jobs", type=int, default=0)
-    p.add_argument("--cache-dir", default=os.environ.get("FNCLASS_CACHE"))
+    p.add_argument("--cache-dir", help="ignored: nothing is cached")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tables)

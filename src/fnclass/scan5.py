@@ -13,19 +13,18 @@ size, while f1 runs over all 2^16 functions.
 `_domain_maps` and `_orbit` expand ge orbits on P_2^n by bit permutations,
 an orbit engine independent of `groups` that the two cross-check, and
 `sample_sep_profiles` is a direct (orbit-free) scan over a random sample,
-an independent check of the join.
+an independent check of the join.  Nothing is stored: every call
+recomputes, the whole table in about 10 s.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bitops
-from . import cache as cache_mod
 from .classify import ClassRecord, ClassificationReport, merge_class_counts
 from .groups import GroupDescriptor, orbit_partition
 from .kfun import KFunction
@@ -175,16 +174,8 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
     return out
 
 
-def sep_scan_p2_5(cache_dir: str | None = None,
-                  resume: bool = True) -> ClassificationReport:
+def sep_scan_p2_5() -> ClassificationReport:
     """Exact sep-classification of all 2^32 binary 5-ary functions."""
-    base = cache_mod.cache_dir(cache_dir)
-    report_file = cache_mod.report_path(base, "sep", 2, _N)
-    if resume:
-        report = ClassificationReport.load_cached(report_file, "sep", 2, _N)
-        if report is not None:
-            return report
-
     records = []
     ordered = sorted(_sep_join(_N).items(),
                      key=lambda item: tuple(reversed(item[0])))
@@ -194,32 +185,18 @@ def sep_scan_p2_5(cache_dir: str | None = None,
             index=idx + 1, key="V:" + ":".join(map(str, prof)), size=cnt,
             representative=rep.to_hex(),
             extra={"sep": sum(prof), "sep_vector": list(prof)}))
-    report = ClassificationReport("sep", 2, _N, _SPACE, records)
-    cache_mod.save_json(report_file, report.to_json_dict())
-    return report
+    return ClassificationReport("sep", 2, _N, _SPACE, records)
 
 
-def _sample_chunk(words: np.ndarray) -> dict:
+def sample_sep_profiles(count: int = 1_000_000,
+                        seed: int = 0) -> dict[tuple[int, ...], int]:
+    """Sep profiles of `count` uniformly sampled functions (direct scan).
+
+    Independent of the cofactor join: no orbits, no cofactor pairs.
+    """
+    words = np.random.default_rng(seed).integers(0, _SPACE, size=count,
+                                                 dtype=np.uint64)
     profiles, counts = np.unique(_sep_profiles(words), axis=0,
                                  return_counts=True)
     return {tuple(prof): int(cnt)
             for prof, cnt in zip(profiles.tolist(), counts)}
-
-
-def sample_sep_profiles(count: int = 1_000_000, seed: int = 0,
-                        jobs: int = 1) -> dict[tuple[int, ...], int]:
-    """Sep profiles of `count` uniformly sampled functions (direct scan).
-
-    Independent of the orbit walk: no canonicalization, no transversal.
-    The sample is drawn once from `seed`, so `jobs` only splits the work.
-    """
-    words = np.random.default_rng(seed).integers(0, _SPACE, size=count,
-                                                 dtype=np.uint64)
-    if jobs <= 1:
-        return _sample_chunk(words)
-    merged: dict[tuple[int, ...], int] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_sample_chunk, np.array_split(words, jobs)):
-            for prof, cnt in part.items():
-                merged[prof] = merged.get(prof, 0) + cnt
-    return merged

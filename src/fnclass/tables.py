@@ -2,7 +2,8 @@
 
 The expected values live here as frozen fixture data so that table
 reproduction is self-contained: each `reproduce_table` call recomputes the
-table from scratch and diffs it cell by cell against the embedded rows.
+table from scratch, reading and writing no file, and diffs it cell by cell
+against the embedded rows.
 
 Available tables:
 
@@ -209,11 +210,11 @@ def _reproduce_table1() -> TableResult:
                              rows, expected))
 
 
-def _reproduce_table3(jobs: int = 1) -> TableResult:
+def _reproduce_table3() -> TableResult:
     from .diagrams import imp_count
     from .separability import sep_vector, sub_vector
 
-    reports = scan_space(2, 3, ("imp", "sub", "sep"), jobs=jobs)
+    reports = scan_space(2, 3, ("imp", "sub", "sep"))
     imp_sizes = {c.extra["imp"]: c.size for c in reports["imp"].classes}
     sub_sizes = {tuple(c.extra["sub_vector"]): c.size for c in reports["sub"].classes}
     sep_sizes = {tuple(c.extra["sep_vector"]): c.size for c in reports["sep"].classes}
@@ -251,10 +252,8 @@ def _reproduce_table4(jobs: int = 1) -> TableResult:
     return _diff(TableResult("table4", header, rows, expected))
 
 
-def _reproduce_table5(cache_dir: str | None = None) -> TableResult:
-    from .scan5 import sep_scan_p2_5
-
-    report = sep_scan_p2_5(cache_dir=cache_dir, resume=False)
+def _reproduce_table5() -> TableResult:
+    report = classify_space(2, 5, "sep")
     header = ["sep_1", "sep_2", "sep_3", "sep_4", "sep_5", "sep", "class_size"]
     rows = [[*c.extra["sep_vector"], c.extra["sep"], c.size]
             for c in report.classes]
@@ -262,7 +261,7 @@ def _reproduce_table5(cache_dir: str | None = None) -> TableResult:
     return _diff(TableResult("table5", header, rows, expected))
 
 
-def _reproduce_figure4(jobs: int = 1) -> TableResult:
+def _reproduce_figure4() -> TableResult:
     header = ["group", "t_n3", "t_n4"]
     rows, expected = [], []
     for name, (t3, t4) in FIGURE4.items():
@@ -273,17 +272,20 @@ def _reproduce_figure4(jobs: int = 1) -> TableResult:
     return _diff(TableResult("figure4", header, rows, expected))
 
 
-def reproduce_table(name: str, cache_dir: str | None = None,
-                    jobs: int = 1) -> TableResult:
-    """Recompute one of the reference tables and diff it against the fixture."""
+def reproduce_table(name: str, jobs: int = 1) -> TableResult:
+    """Recompute one of the reference tables and diff it against the fixture.
+
+    `jobs` splits the P_2^4 scan of table4 over processes; the other tables
+    run in one.
+    """
     if name == "table1":
         return _reproduce_table1()
     if name == "table3":
-        return _reproduce_table3(jobs=jobs)
+        return _reproduce_table3()
     if name == "table4":
         return _reproduce_table4(jobs=jobs)
     if name == "table5":
-        return _reproduce_table5(cache_dir=cache_dir)
+        return _reproduce_table5()
     if name == "figure4":
-        return _reproduce_figure4(jobs=jobs)
+        return _reproduce_figure4()
     raise ValueError(f"unknown table {name!r}; choose from {TABLE_NAMES}")

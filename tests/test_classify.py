@@ -1,10 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from fnclass.classify import (ClassificationReport, class_counts,
-                              classify_space,
+from fnclass.classify import (class_counts, classify_space,
                               imp_equivalent_direct, imp_key, imp_signature,
                               refinement_check, scan_space, sep_key, sub_key)
 from fnclass.kfun import KFunction
@@ -152,11 +152,10 @@ class TestClassifySpace:
     def test_json_round_trip(self, k, n, relation):
         report = classify_space(k, n, relation)
         payload = report.to_json_dict()
-        back = ClassificationReport.from_json_dict(payload)
-        assert back.classes == report.classes
-        assert (back.relation, back.k, back.n, back.total) == \
-            (relation, k, n, k ** k ** n)
-        assert back.to_json_dict() == payload
+        assert json.loads(json.dumps(payload)) == payload
+        assert [rec["size"] for rec in payload["classes"]] == report.sizes()
+        assert (payload["relation"], payload["k"], payload["n"],
+                payload["total"]) == (relation, k, n, k ** k ** n)
 
     def test_parallel_matches_serial(self):
         # P_3^2 has 19683 functions, above the size at which the pool is used
@@ -237,18 +236,6 @@ class TestReportSerialization:
         assert len(payload["classes"]) == report.class_count()
         for rec in payload["classes"]:
             assert {"index", "key", "size", "representative"} <= set(rec)
-
-    @pytest.mark.parametrize("damage", [
-        lambda p: [],                               # not an object
-        lambda p: {k: v for k, v in p.items() if k != "total"},
-        lambda p: {**p, "classes": {}},             # classes not a list
-        lambda p: {**p, "classes": [[1, "E:0", 2, "0x3"]]},
-        lambda p: {**p, "classes": [{**p["classes"][0], "size": "2"}]},
-    ])
-    def test_undecodable_payload_raises_value_error(self, damage):
-        payload = damage(classify_space(2, 2, "sep").to_json_dict())
-        with pytest.raises(ValueError):
-            ClassificationReport.from_json_dict(payload)
 
     def test_csv_rows(self):
         report = classify_space(2, 2, "imp")

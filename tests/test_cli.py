@@ -5,6 +5,10 @@ import pytest
 from fnclass.cli import main
 
 
+# where earlier versions cached the P_2^2 imp report
+OLD_REPORT_NAME = "classify_imp_k2n2_v1.json"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -107,18 +111,28 @@ class TestClassify:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_resume_recomputes_damaged_cache(self, capsys, tmp_path):
-        from fnclass.cache import report_path
+    def test_cache_flags_write_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FNCLASS_CACHE", str(tmp_path))
         args = ("classify", "--k", "2", "--n", "2", "--relation", "imp",
-                "--cache-dir", str(tmp_path), "--resume")
-        code1, out1, _ = run_cli(capsys, *args)
-        path = report_path(tmp_path, "imp", 2, 2)
-        whole = path.read_bytes()
-        path.write_bytes(whole[:len(whole) // 2])  # a torn write
-        code2, out2, _ = run_cli(capsys, *args)
+                "--format", "json")
+        code1, fresh, _ = run_cli(capsys, *args)
+        code2, out, _ = run_cli(capsys, *args, "--resume",
+                                "--cache-dir", str(tmp_path))
         assert code1 == code2 == 0
-        assert out1 == out2
-        assert path.read_bytes() == whole
+        assert out == fresh
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_recomputes_damaged_cache(self, capsys, tmp_path):
+        args = ("classify", "--k", "2", "--n", "2", "--relation", "imp",
+                "--format", "json")
+        code1, fresh, _ = run_cli(capsys, *args)
+        path = tmp_path / OLD_REPORT_NAME
+        path.write_text(fresh[:len(fresh) // 2])  # a torn write
+        code2, out, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path),
+                                "--resume")
+        assert code1 == code2 == 0
+        assert out == fresh
+        assert path.read_text() == fresh[:len(fresh) // 2]
 
     @pytest.mark.parametrize("cached", [
         {},
@@ -129,20 +143,20 @@ class TestClassify:
     ], ids=["empty", "record-without-key", "other-space", "other-relation"])
     def test_resume_recomputes_undecodable_or_foreign_cache(
             self, capsys, tmp_path, cached):
-        from fnclass.cache import report_path, save_json
+        # a report that earlier versions would have served is not read
         from fnclass.classify import classify_space
         args = ("classify", "--k", "2", "--n", "2", "--relation", "imp",
-                "--format", "json", "--cache-dir", str(tmp_path))
+                "--format", "json")
         code1, fresh, _ = run_cli(capsys, *args)
-        path = report_path(tmp_path, "imp", 2, 2)
-        whole = path.read_bytes()
         if isinstance(cached, tuple):
             cached = classify_space(*cached[1:], cached[0]).to_json_dict()
-        save_json(path, cached)
-        code2, out, _ = run_cli(capsys, *args, "--resume")
+        path = tmp_path / OLD_REPORT_NAME
+        path.write_text(json.dumps(cached))
+        code2, out, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path),
+                                "--resume")
         assert code1 == code2 == 0
         assert out == fresh
-        assert path.read_bytes() == whole
+        assert path.read_text() == json.dumps(cached)
 
     def test_group_relation(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", "--k", "2", "--n", "2",
@@ -170,6 +184,14 @@ class TestTables:
                                "--format", "json")
         payload = json.loads(out)
         assert payload["ok"] is True
+
+    def test_cache_dir_writes_nothing(self, capsys, tmp_path):
+        args = ("tables", "--name", "table1", "--format", "json")
+        code1, fresh, _ = run_cli(capsys, *args)
+        code2, out, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+        assert code1 == code2 == 0
+        assert out == fresh
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

@@ -99,13 +99,6 @@ class TestSampledProfiles:
         for profile in counts:
             assert profile in TABLE5_PROFILES
 
-    def test_sample_does_not_depend_on_jobs(self):
-        serial = sample_sep_profiles(count=400, seed=3, jobs=1)
-        assert serial.keys() <= TABLE5_PROFILES.keys()
-        assert sum(serial.values()) == 400
-        for jobs in (2, 3):
-            assert sample_sep_profiles(count=400, seed=3, jobs=jobs) == serial
-
     def test_sample_is_the_seeded_draw(self):
         words = np.random.default_rng(3).integers(0, 2 ** 32, size=50,
                                                   dtype=np.uint64)
@@ -113,7 +106,7 @@ class TestSampledProfiles:
         for w in words:
             prof = sep_profile_word(int(w), 5)
             want[prof] = want.get(prof, 0) + 1
-        assert sample_sep_profiles(count=50, seed=3, jobs=1) == want
+        assert sample_sep_profiles(count=50, seed=3) == want
 
     def test_profile_kernel_agrees_with_library_route(self):
         # the direct separability oracle shares no code with the lattice
@@ -130,43 +123,35 @@ class TestSampledProfiles:
             assert sep_profile_word(int(w), 5) == want
 
 
-def _p2_2_sep_report():
-    from fnclass.classify import classify_space
-    return classify_space(2, 2, "sep").to_json_dict()
+class TestClassifySpaceRoute:
+    # a stand-in join: the constants and the projections
+    STUB = {(0, 0, 0, 0, 0): [2, 0], (1, 0, 0, 0, 0): [10, 0xAAAAAAAA]}
+    WANT = [([0, 0, 0, 0, 0], 2), ([1, 0, 0, 0, 0], 10)]
 
-
-def _sub_report_of_p2_5():  # a decodable report of another relation
-    return {**_p2_2_sep_report(), "relation": "sub", "n": 5, "total": 1 << 32}
-
-
-class TestReportCache:
-    @pytest.mark.parametrize("cached", [
-        dict,
-        lambda: {"relation": "sep", "k": 2, "n": 5, "total": 1 << 32,
-                 "classes": [{"index": 1, "key": "V:0:0:0:0:0", "size": 2}]},
-        _p2_2_sep_report,
-        _sub_report_of_p2_5,
-    ], ids=["empty", "record-without-rep", "other-space", "other-relation"])
-    def test_undecodable_or_foreign_report_is_recomputed(
-            self, tmp_path, monkeypatch, cached):
+    @pytest.fixture(autouse=True)
+    def stub_join(self, monkeypatch):
         import fnclass.scan5 as scan5
-        from fnclass.cache import load_json, report_path, save_json
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        # a stand-in join: the constants and the projections
-        monkeypatch.setattr(scan5, "_sep_join", lambda n: {
-            (0, 0, 0, 0, 0): [2, 0], (1, 0, 0, 0, 0): [10, 0xAAAAAAAA]})
-        path = report_path(tmp_path, "sep", 2, 5)
-        save_json(path, cached())
-        report = sep_scan_p2_5(cache_dir=str(tmp_path))
+        monkeypatch.setattr(scan5, "_sep_join", lambda n: self.STUB)
+
+    def test_classify_space_serves_the_join(self):
+        report = classify_space(2, 5, "sep")
         assert [(c.extra["sep_vector"], c.size) for c in report.classes] == \
-            [([0, 0, 0, 0, 0], 2), ([1, 0, 0, 0, 0], 10)]
-        assert load_json(path) == report.to_json_dict()
+            self.WANT
+        with pytest.raises(MemoryError):
+            classify_space(2, 5, "sep", keep_assignment=True)
+
+    def test_cli_serves_the_join(self, capsys):
+        import json
+        from fnclass.cli import main
+        assert main(["classify", "--k", "2", "--n", "5", "--relation", "sep",
+                     "--format", "json"]) == 0
+        classes = json.loads(capsys.readouterr().out)["classes"]
+        assert [(c["sep_vector"], c["size"]) for c in classes] == self.WANT
 
 
 class TestFullScan:
-    def test_full_scan(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        report = sep_scan_p2_5(cache_dir=str(tmp_path), resume=False)
+    def test_full_scan(self):
+        report = sep_scan_p2_5()
         assert [(tuple(c.extra["sep_vector"]), c.extra["sep"], c.size)
                 for c in report.classes] == list(TABLE5)
         assert [c.representative for c in report.classes] == \

@@ -72,24 +72,6 @@ class TestReproduction:
         result = reproduce_table("figure4")
         assert result.ok, result.diff_lines()
 
-    def test_table5_recomputes_over_a_wrong_cached_report(self, tmp_path,
-                                                          monkeypatch):
-        # decodable, but one unit of size moved between two classes
-        from fnclass.cache import report_path, save_json
-        monkeypatch.delenv("FNCLASS_CACHE", raising=False)
-        sizes = [size for _, _, size in TABLE5]
-        sizes[0] += 1
-        sizes[1] -= 1
-        save_json(report_path(tmp_path, "sep", 2, 5), {
-            "relation": "sep", "k": 2, "n": 5, "total": 1 << 32,
-            "classes": [{"index": i + 1, "key": "V:" + ":".join(map(str, vec)),
-                         "size": size, "representative": "00000000",
-                         "sep": total, "sep_vector": list(vec)}
-                        for i, ((vec, total, _), size)
-                        in enumerate(zip(TABLE5, sizes))]})
-        result = reproduce_table("table5", cache_dir=str(tmp_path))
-        assert result.ok, result.diff_lines()
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             reproduce_table("table9")
