@@ -11,13 +11,15 @@ cofactor signatures, serialized to bytes.
 Subfunction equivalence compares the sub_m count vectors (with the range
 rule for single-variable functions); separability equivalence compares the
 sep_m vectors.  Both degenerate to comparing essential counts at ess <= 1.
+
+All three are invariant under the genus group g (variable permutations and
+argument translations), so a whole-space scan reads one function per
+g-orbit, its least id, and weights it by the orbit's size.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,10 +109,10 @@ def _key(rel: str, k: int, row: list[int]) -> tuple:
 
 
 def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
-    """Per relation: a block's distinct keys, each key's first position,
-    each function's key index and each key's count.  Below ess 2 a key is
-    ess (plus the range for sub); from 2 up imp, the sub or sep vector,
-    which below ess 2 only depend on ess."""
+    """Per relation: a block's distinct keys, each key's first position and
+    each function's key index.  Below ess 2 a key is ess (plus the range
+    for sub); from 2 up imp, the sub or sep vector, which below ess 2 only
+    depend on ess."""
     lattice = bitops.restrictions(tables, k, range(n))
     low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
     out = {}
@@ -122,11 +124,11 @@ def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
             value = np.where(low == 1, rng[:, None], bitops.sub_counts(lattice, n))
         else:
             value = bitops.sep_counts(lattice.masks, n)
-        uniq, first, inverse, counts = np.unique(
+        uniq, first, inverse = np.unique(
             np.hstack([low, value]), axis=0, return_index=True,
-            return_inverse=True, return_counts=True)
+            return_inverse=True)
         out[rel] = ([_key(rel, k, row) for row in uniq.tolist()], first,
-                    inverse.reshape(-1), counts)
+                    inverse.reshape(-1))
     return out
 
 
@@ -219,91 +221,71 @@ def _profile_extra(relation: str, rep: KFunction) -> dict:
     return {}
 
 
-def merge_class_counts(into: dict, part: dict) -> None:
-    """Fold `part`'s {key: [count, min representative]} buckets into `into`."""
-    for key, (cnt, rep) in part.items():
-        entry = into.setdefault(key, [0, rep])
-        entry[0] += cnt
-        entry[1] = min(entry[1], rep)
-
-
-def _scan_chunk(args) -> tuple[dict, dict]:
-    """{rel: {key: [count, min id]}} over ids [start, stop), bitops.BLOCK at a
-    time, and if `keep` is set {rel: [(keys, key index per function)]}."""
-    k, n, start, stop, relations, keep = args
-    buckets: dict[str, dict] = {rel: {} for rel in relations}
-    labels: dict[str, list] = {rel: [] for rel in relations}
-    for lo in range(start, stop, bitops.BLOCK):
-        tables = bitops.tables_from_ids(
-            np.arange(lo, min(lo + bitops.BLOCK, stop)), k, n)
-        for rel, (keys, first, inverse, counts) in _block_keys(
-                tables, k, n, relations).items():
-            merge_class_counts(buckets[rel], {
-                key: [int(cnt), lo + int(pos)]
-                for key, pos, cnt in zip(keys, first, counts)})
-            if keep:
-                labels[rel].append((keys, inverse))
-    return buckets, labels
-
-
-def scan_space(k: int, n: int, relations=RELATIONS, jobs: int = 1,
+def scan_space(k: int, n: int, relations=RELATIONS,
                keep_assignment: bool = False,
                max_space: int = 1 << 22) -> dict[str, ClassificationReport]:
-    """Classify the whole of P_k^n under several relations in one pass."""
+    """Classify the whole of P_k^n under several relations in one pass.
+
+    Every imp, sub or sep class is a union of orbits of g (variable
+    permutations and argument translations), so only each orbit's least id
+    is classified, `bitops.BLOCK` at a time, and weighted by its orbit
+    size; a class's least id is its least orbit minimum.  g, not ge: at
+    k > 2 an output translation changes a unary function's range, which
+    is part of its sub key.
+    """
     size = k ** (k ** n)
     if size > max_space:
         raise MemoryError(f"space of {size} functions exceeds budget {max_space}")
     relations = tuple(relations)
-
-    if jobs > 1 and size >= 1 << 12 and not keep_assignment:
-        chunk = (size + jobs - 1) // jobs
-        tasks = [(k, n, lo, min(lo + chunk, size), relations, False)
-                 for lo in range(0, size, chunk)]
-        buckets: dict[str, dict] = {rel: {} for rel in relations}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part, _ in pool.map(_scan_chunk, tasks):
-                for rel in relations:
-                    merge_class_counts(buckets[rel], part[rel])
-    else:
-        buckets, labels = _scan_chunk(
-            (k, n, 0, size, relations, keep_assignment))
-    assign = {rel: None for rel in relations}
-    if keep_assignment:
-        for rel in relations:
-            order = {key: i for i, key in enumerate(
-                sorted(buckets[rel], key=lambda kk: buckets[rel][kk][1]))}
-            assign[rel] = np.concatenate([
-                np.array([order[key] for key in keys], dtype=np.int64)[inverse]
-                for keys, inverse in labels[rel]])
+    lab = orbit_partition(GroupDescriptor("g", k, n), max_space=max_space)
+    minima, inverse, sizes = np.unique(lab, return_inverse=True,
+                                       return_counts=True)
+    found = {rel: {} for rel in relations}  # key: (class id, least id)
+    cls = {rel: np.empty(minima.size, np.int64) for rel in relations}
+    for lo in range(0, minima.size, bitops.BLOCK):
+        block = minima[lo:lo + bitops.BLOCK]
+        tables = bitops.tables_from_ids(block, k, n)
+        for rel, (keys, first, index) in _block_keys(
+                tables, k, n, relations).items():
+            seen = found[rel]
+            for j in np.argsort(first).tolist():  # class ids by least id
+                seen.setdefault(keys[j], (len(seen), int(block[first[j]])))
+            cls[rel][lo:lo + block.size] = np.array(
+                [seen[key][0] for key in keys])[index]
 
     out = {}
     for rel in relations:
+        counts = np.zeros(len(found[rel]), np.int64)
+        np.add.at(counts, cls[rel], sizes)
         records = []
-        ordered = sorted(buckets[rel].items(), key=lambda item: item[1][1])
-        for idx, (key, (cnt, rep_id)) in enumerate(ordered):
+        for key, (c, rep_id) in found[rel].items():
             rep = KFunction.from_id(rep_id, k, n)
             records.append(ClassRecord(
-                index=idx + 1, key=_key_str(key), size=cnt,
+                index=c + 1, key=_key_str(key), size=int(counts[c]),
                 representative=rep.table_text(),
                 extra=_profile_extra(rel, rep)))
-        out[rel] = ClassificationReport(rel, k, n, size, records, assign[rel])
+        assign = cls[rel][inverse] if keep_assignment else None
+        out[rel] = ClassificationReport(rel, k, n, size, records, assign)
     return out
 
 
-def classify_space(k: int, n: int, relation: str, jobs: int = 1,
+def classify_space(k: int, n: int, relation: str,
                    keep_assignment: bool = False,
                    max_space: int = 1 << 22) -> ClassificationReport:
     """Partition P_k^n under one relation: imp, sub, sep, or a group name.
 
     P_2^5 under sep, 2^32 functions, comes from the cofactor join of
-    `scan5.sep_scan_p2_5`, which keeps no per-function assignment.
+    `scan5.sep_scan_p2_5`, which keeps no per-function assignment and scans
+    all 2^16 functions of P_2^4, so `max_space` must admit those.
     """
     if (k, n, relation) == (2, 5, "sep") and not keep_assignment:
+        if 1 << 16 > max_space:
+            raise MemoryError(f"the P_2^5 sep join scans the {1 << 16} "
+                              f"functions of P_2^4, over budget {max_space}")
         from .scan5 import sep_scan_p2_5
         return sep_scan_p2_5()
     if relation in RELATIONS:
-        return scan_space(k, n, (relation,), jobs=jobs,
-                          keep_assignment=keep_assignment,
+        return scan_space(k, n, (relation,), keep_assignment=keep_assignment,
                           max_space=max_space)[relation]
     if relation in GROUP_NAMES:
         labels = orbit_partition(GroupDescriptor(relation, k, n),
@@ -323,9 +305,9 @@ def classify_space(k: int, n: int, relation: str, jobs: int = 1,
                      f"{RELATIONS + GROUP_NAMES}")
 
 
-def class_counts(k: int, n: int, jobs: int = 1) -> tuple[int, int, int]:
+def class_counts(k: int, n: int) -> tuple[int, int, int]:
     """(t_imp, t_sub, t_sep) for the space P_k^n."""
-    reports = scan_space(k, n, RELATIONS, jobs=jobs)
+    reports = scan_space(k, n, RELATIONS)
     return tuple(reports[rel].class_count() for rel in RELATIONS)
 
 
@@ -351,7 +333,3 @@ def compute_profile(f: KFunction):
     from .separability import ComplexityProfile
     return ComplexityProfile(imp=imp_count(f), sub=sub_vector(f),
                              sep=sep_vector(f))
-
-
-def default_jobs() -> int:
-    return min(os.cpu_count() or 1, 8)

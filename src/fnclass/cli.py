@@ -9,8 +9,9 @@ Subcommands:
     verify     run the structural property checks
     parse      parse an expression, print its table and canonical form
 
-Every command recomputes its result and writes no file except --out;
---cache-dir and --resume are still accepted and ignored.
+Every command recomputes its result in one process and writes no file
+except --out; --jobs, --cache-dir and --resume are still accepted and
+ignored.  Whole-space scans classify one function per g-orbit.
 
 Exit codes: 0 success, 1 verification/diff failure, 2 usage error,
 3 budget exceeded.
@@ -27,8 +28,7 @@ import sys
 from . import diagrams as dg
 from . import separability as sp
 from . import spform
-from .classify import (ClassificationReport, classify_space, compute_profile,
-                       default_jobs)
+from .classify import ClassificationReport, classify_space, compute_profile
 from .diagrams import DiagramBudgetError
 from .groups import GROUP_NAMES, OrbitBudgetError
 from .kfun import KFunction
@@ -154,9 +154,7 @@ def cmd_classify(args) -> int:
     chosen = [s for s in (args.relation, args.group) if s]
     if len(chosen) != 1:
         raise SystemExit2("exactly one of --relation/--group is required")
-    report = classify_space(args.k, args.n, chosen[0],
-                            jobs=args.jobs or default_jobs(),
-                            max_space=args.budget)
+    report = classify_space(args.k, args.n, chosen[0], max_space=args.budget)
     if args.format == "json":
         _emit(args, json.dumps(report.to_json_dict(), indent=1, sort_keys=True))
     else:
@@ -168,7 +166,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    result = reproduce_table(args.name, jobs=args.jobs or default_jobs())
+    result = reproduce_table(args.name)
     if args.format == "json":
         payload = {"name": result.name, "header": result.header,
                    "rows": result.rows, "ok": result.ok,
@@ -246,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--relation", help="imp | sub | sep (profile relations)")
     p.add_argument("--group", help="orbit relation: " + " | ".join(GROUP_NAMES))
-    p.add_argument("--jobs", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=0,
+                   help="ignored: scans run in one process")
     p.add_argument("--cache-dir", help="ignored: nothing is cached")
     p.add_argument("--resume", action="store_true",
                    help="ignored: every run recomputes")
@@ -260,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=TABLE_NAMES)
     p.add_argument("--diff", action="store_true",
                    help="exit nonzero when any cell differs from the fixture")
-    p.add_argument("--jobs", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=0,
+                   help="ignored: scans run in one process")
     p.add_argument("--cache-dir", help="ignored: nothing is cached")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")

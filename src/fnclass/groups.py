@@ -272,6 +272,8 @@ class GroupDescriptor:
     n: int
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"radix k must be >= 2, got {self.k}")
         if self.name not in GROUP_NAMES:
             raise ValueError(f"unknown group {self.name!r}; choose from {GROUP_NAMES}")
         if self.name in _LINEAR and not _is_prime(self.k):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bitops
-from .classify import ClassRecord, ClassificationReport, merge_class_counts
+from .classify import ClassRecord, ClassificationReport
 from .groups import GroupDescriptor, orbit_partition
 from .kfun import KFunction
 
@@ -162,9 +162,11 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
                                            return_counts=True)
         least = np.full(codes.size, lab.size)
         np.minimum.at(least, inverse, lab)
-        merge_class_counts(classes, {
-            code: [weight * cnt, f1] for code, cnt, f1
-            in zip(codes.tolist(), counts.tolist(), least.tolist())})
+        for code, cnt, f1 in zip(codes.tolist(), counts.tolist(),
+                                 least.tolist()):
+            entry = classes.setdefault(code, [0, f1])
+            entry[0] += weight * cnt
+            entry[1] = min(entry[1], f1)
     out = {}
     for f1 in {f1 for _, f1 in classes.values()}:
         codes, first = np.unique(_pair_profiles(cof, f1, n), return_index=True)

@@ -240,11 +240,11 @@ def _reproduce_table3() -> TableResult:
     return result
 
 
-def _reproduce_table4(jobs: int = 1) -> TableResult:
+def _reproduce_table4() -> TableResult:
     header = ["n", "t_g", "t_imp", "t_sub", "t_sep"]
     rows, expected = [], []
     for n, (tg, ti, tb, tp) in sorted(TABLE4.items()):
-        reports = scan_space(2, n, ("imp", "sub", "sep"), jobs=jobs)
+        reports = scan_space(2, n, ("imp", "sub", "sep"))
         tg_got = count_orbits(GroupDescriptor("g", 2, n))
         rows.append([n, tg_got, reports["imp"].class_count(),
                      reports["sub"].class_count(), reports["sep"].class_count()])
@@ -272,18 +272,18 @@ def _reproduce_figure4() -> TableResult:
     return _diff(TableResult("figure4", header, rows, expected))
 
 
-def reproduce_table(name: str, jobs: int = 1) -> TableResult:
+def reproduce_table(name: str) -> TableResult:
     """Recompute one of the reference tables and diff it against the fixture.
 
-    `jobs` splits the P_2^4 scan of table4 over processes; the other tables
-    run in one.
+    Every table is computed in this process; table4's scans classify one
+    function per g-orbit of P_2^n.
     """
     if name == "table1":
         return _reproduce_table1()
     if name == "table3":
         return _reproduce_table3()
     if name == "table4":
-        return _reproduce_table4(jobs=jobs)
+        return _reproduce_table4()
     if name == "table5":
         return _reproduce_table5()
     if name == "figure4":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 from . import diagrams as dg
 from . import separability as sp
@@ -540,15 +541,10 @@ def _check_profile_consistency(pools, mutant, rng):
                 return False, checked, f.table_text()
             ess = f.ess()
             for m, cnt in enumerate(sep, start=1):
-                limit = 0 if m > ess else _binom(ess, m)
+                limit = 0 if m > ess else comb(ess, m)
                 if cnt > limit:
                     return False, checked, f.table_text()
     return True, checked, None
-
-
-def _binom(n, m):
-    from math import comb
-    return comb(n, m)
 
 
 CHECKS = [

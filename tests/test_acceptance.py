@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, exact tolerances.
 
 Every expected number here is pinned; runtimes are the stated budgets
-(criteria 5-8 take minutes).  Run with `pytest tests/test_acceptance.py -v`
+(criterion 7 takes about 40 s and criterion 8 about five minutes).  Run with `pytest tests/test_acceptance.py -v`
 or deselect via `-m "not acceptance"` during development.
 """
 
@@ -11,7 +11,7 @@ import pytest
 
 from fnclass import diagrams as dg
 from fnclass import separability as sp
-from fnclass.classify import class_counts, default_jobs, scan_space
+from fnclass.classify import class_counts, scan_space
 from fnclass.groups import GroupDescriptor, count_orbits
 from fnclass.kfun import KFunction
 from fnclass.scan5 import sample_sep_profiles
@@ -22,8 +22,6 @@ from fnclass.tables import (EXAMPLE_F, EXAMPLE_G, EXAMPLE_IMPS, EXAMPLE_SEP_G,
 from fnclass.verify import run_checks
 
 pytestmark = pytest.mark.acceptance
-
-JOBS = default_jobs()
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -92,7 +90,7 @@ def test_criterion_4_three_variable_classification():
 
 
 def test_criterion_5_class_counts_through_n4():
-    ok = class_counts(2, 4, jobs=JOBS) == (104, 74, 11)
+    ok = class_counts(2, 4) == (104, 74, 11)
     ok = ok and count_orbits(GroupDescriptor("g", 2, 4)) == 402
     for n, want in ((1, (2, 2, 2)), (2, (4, 4, 3)), (3, (13, 11, 5))):
         ok = ok and class_counts(2, n) == want

@@ -1,12 +1,15 @@
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fnclass.classify import (class_counts, classify_space,
-                              imp_equivalent_direct, imp_key, imp_signature,
-                              refinement_check, scan_space, sep_key, sub_key)
+from fnclass import bitops
+from fnclass.classify import (_block_keys, _key_str, class_counts,
+                              classify_space, imp_equivalent_direct, imp_key,
+                              imp_signature, refinement_check, scan_space,
+                              sep_key, sub_key)
 from fnclass.kfun import KFunction
 from fnclass.spform import parse
 
@@ -157,16 +160,6 @@ class TestClassifySpace:
         assert (payload["relation"], payload["k"], payload["n"],
                 payload["total"]) == (relation, k, n, k ** k ** n)
 
-    def test_parallel_matches_serial(self):
-        # P_3^2 has 19683 functions, above the size at which the pool is used
-        serial = scan_space(3, 2, ("imp", "sub", "sep"), jobs=1)
-        parallel = scan_space(3, 2, ("imp", "sub", "sep"), jobs=2)
-        for rel in ("imp", "sub", "sep"):
-            assert [(c.key, c.size, c.representative)
-                    for c in serial[rel].classes] == \
-                [(c.key, c.size, c.representative)
-                 for c in parallel[rel].classes]
-
     def test_ternary_binary_space_pinned(self):
         # pinned from imp by enumeration of every ordering
         reports = scan_space(3, 2, ("imp", "sub", "sep"))
@@ -191,6 +184,40 @@ class TestClassifySpace:
         # the three two-value ranges, and the full range
         assert reports["sub"].class_count() == 5
         assert reports["sep"].class_count() == 2
+
+
+def direct_scan(k: int, n: int, rel: str):
+    """(key, size, representative) per class by least id, and each id's
+    class index: `_block_keys` over every id of P_k^n, no orbits."""
+    size = k ** k ** n
+    keys = []
+    for lo in range(0, size, bitops.BLOCK):
+        ids = np.arange(lo, min(lo + bitops.BLOCK, size))
+        uniq, _, index = _block_keys(bitops.tables_from_ids(ids, k, n), k, n,
+                                     (rel,))[rel]
+        keys += [uniq[i] for i in index.tolist()]
+    least = {}
+    for ident, key in enumerate(keys):
+        least.setdefault(key, ident)
+    order = {key: i for i, key in enumerate(least)}
+    sizes = Counter(keys)
+    classes = [(_key_str(key), sizes[key],
+                KFunction.from_id(ident, k, n).table_text())
+               for key, ident in least.items()]
+    return classes, np.array([order[key] for key in keys])
+
+
+class TestOrbitReduction:
+    # scan_space classifies one function per g-orbit; the oracle all of them
+    @pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                      (5, 1)])
+    def test_matches_direct_scan(self, k, n):
+        reports = scan_space(k, n, keep_assignment=True)
+        for rel in ("imp", "sub", "sep"):
+            classes, assignment = direct_scan(k, n, rel)
+            assert [(c.key, c.size, c.representative)
+                    for c in reports[rel].classes] == classes
+            assert np.array_equal(reports[rel].assignment, assignment)
 
 
 class TestCounts:

@@ -116,7 +116,7 @@ class TestClassify:
         args = ("classify", "--k", "2", "--n", "2", "--relation", "imp",
                 "--format", "json")
         code1, fresh, _ = run_cli(capsys, *args)
-        code2, out, _ = run_cli(capsys, *args, "--resume",
+        code2, out, _ = run_cli(capsys, *args, "--resume", "--jobs", "2",
                                 "--cache-dir", str(tmp_path))
         assert code1 == code2 == 0
         assert out == fresh
@@ -172,6 +172,18 @@ class TestClassify:
         assert code == 3
         assert "budget" in err.lower()
 
+    def test_join_budget_exit_code(self, capsys, monkeypatch):
+        import fnclass.scan5 as scan5
+
+        def no_join(n):
+            raise AssertionError("the join ran over budget")
+        monkeypatch.setattr(scan5, "_sep_join", no_join)
+        code, out, err = run_cli(capsys, "classify", "--k", "2", "--n", "5",
+                                 "--relation", "sep", "--budget", "100")
+        assert code == 3
+        assert out == ""
+        assert "budget" in err.lower()
+
 
 class TestTables:
     def test_table1_diff_clean(self, capsys):
@@ -188,7 +200,8 @@ class TestTables:
     def test_cache_dir_writes_nothing(self, capsys, tmp_path):
         args = ("tables", "--name", "table1", "--format", "json")
         code1, fresh, _ = run_cli(capsys, *args)
-        code2, out, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+        code2, out, _ = run_cli(capsys, *args, "--jobs", "2",
+                                "--cache-dir", str(tmp_path))
         assert code1 == code2 == 0
         assert out == fresh
         assert list(tmp_path.iterdir()) == []

@@ -153,6 +153,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             GroupDescriptor("npn", 2, 2)
 
+    def test_radix_below_two(self):
+        # at k = 1 `_id_tables` would look for a chunk size forever
+        with pytest.raises(ValueError, match="radix"):
+            GroupDescriptor("g", 1, 0)
+
 
 class TestCanonicalForm:
     def test_complement_in_genus_group(self):
