@@ -25,7 +25,7 @@ from .diagrams import (Implementation, OrderedDiagram, build_odt, depth,
 from .classify import (ClassificationReport, class_counts, classify_space,
                        compute_profile, imp_signature, refinement_check,
                        scan_space)
-from .groups import (GroupDescriptor, Transformation, apply, canonical_form,
+from .groups import (GroupDescriptor, Transformation, canonical_form,
                      count_orbits, group_elements, group_generators,
                      orbit_transversal, output_image)
 from .kfun import KFunction, from_values
@@ -48,9 +48,8 @@ __all__ = [
     "diagram_labels", "path_count", "implementations", "implementations_of",
     "imp_count", "imp_count_recursive", "find_full_depth_ordering",
     "find_shallow_ordering", "to_dot",
-    "Transformation", "GroupDescriptor", "apply", "group_elements",
-    "group_generators", "canonical_form", "count_orbits", "orbit_transversal",
-    "output_image",
+    "Transformation", "GroupDescriptor", "group_elements", "group_generators",
+    "canonical_form", "count_orbits", "orbit_transversal", "output_image",
     "ClassificationReport", "classify_space", "scan_space", "class_counts",
     "refinement_check", "imp_signature", "compute_profile",
     "reproduce_table", "run_checks",

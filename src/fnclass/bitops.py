@@ -4,7 +4,8 @@ Restrictions keep the arity and fixing an inessential variable changes
 nothing, so Sub(f) is exactly the set of the (k+1)^n partial-assignment
 restrictions of f.  `restrictions` builds them for a batch of uint8 tables,
 row rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
-per-function measure is read off that lattice.
+per-function measure is read off that lattice, as are Dis(M, f), subfunction
+chains and full-depth orderings (`fixed_masks`, `descent`).
 
 A single table is also read as one little-endian Python int, 8 bits per
 cell, so the cells with x_i = c are the cells with x_i = 0 shifted up by
@@ -185,12 +186,26 @@ def sep_counts(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=LATTICE_CACHE)
-def _imp_levels(m: int, k: int) -> tuple[np.ndarray, list]:
+def fixed_masks(variables: tuple[int, ...], k: int) -> np.ndarray:
+    """(rows,) int64: per row of a lattice over `variables`, the mask of the
+    variables it fixes (digit c+1), in the bits of `Lattice.masks`."""
+    rows = np.arange((k + 1) ** len(variables))
+    fixed = np.zeros(len(rows), np.int64)
+    for digit, i in enumerate(variables):
+        fixed |= (rows // (k + 1) ** digit % (k + 1) != 0).astype(np.int64) << i
+    fixed.flags.writeable = False
+    return fixed
+
+
+@lru_cache(maxsize=LATTICE_CACHE)
+def _levels(m: int, k: int) -> tuple[np.ndarray, list]:
     """The lattice rows sorted by their number of free variables (row 0,
     all free, last), and per number from 1 up its slice of that order with
-    the children rho[x := c] as positions in it, a (k, m, rows) array
-    indexed (c, digit); children of a fixed digit are clipped into range
-    (its essential bit is 0)."""
+    the children rho[x := c] as positions in it, an (m, k, rows) array
+    indexed (digit, c); children of a fixed digit are clipped into range
+    (its essential bit is 0).  A row's children all come earlier, so one
+    pass over the levels computes a measure bottom up: imp in `imp_counts`,
+    reachability in `descent`."""
     rows = np.arange((k + 1) ** m)
     step = (k + 1) ** np.arange(m)[:, None]
     free = (rows // step % (k + 1) == 0).sum(axis=0)
@@ -198,11 +213,11 @@ def _imp_levels(m: int, k: int) -> tuple[np.ndarray, list]:
     position = np.empty_like(order)
     position[order] = rows
     bounds = np.searchsorted(free[order], np.arange(m + 2))
-    value = np.arange(1, k + 1)[:, None, None]
+    value = np.arange(1, k + 1)[:, None]
     levels = []
     for count in range(1, m + 1):
         part = slice(bounds[count], bounds[count + 1])
-        children = np.minimum(order[part] + value * step, rows[-1])
+        children = np.minimum(order[part] + value * step[:, None], rows[-1])
         levels.append((part, position[children]))
     return order, levels
 
@@ -211,15 +226,42 @@ def imp_counts(lattice: Lattice, k: int) -> np.ndarray:
     """(N,) imp of the functions, level by level over free variables:
     imp(rho) = [rho constant] + the sum over essential x and c in Z_k of
     imp(rho[x := c]), that is 1 at ess 0, k at ess 1 and the sum above."""
-    order, levels = _imp_levels(len(lattice.variables), k)
+    order, levels = _levels(len(lattice.variables), k)
     masks = lattice.masks[:, order]
     bits = np.array(lattice.variables, np.int64)[:, None]
     essential = (masks[:, None, :] >> bits) & 1
     imp = (masks == 0).astype(np.int64)
     for part, children in levels:
-        imp[:, part] += (imp[:, children].sum(axis=1)
+        imp[:, part] += (imp[:, children].sum(axis=2)
                          * essential[:, :, part]).sum(axis=1)
     return imp[:, -1]
+
+
+def descent(lattice: Lattice, k: int, stop: np.ndarray) -> list[int] | None:
+    """Rows of a one-function lattice from row 0 down to a `stop` row, each
+    step to a child rho[x := c] that fixes an essential x and keeps every
+    other essential variable (ess drops by exactly 1), the first in x, then
+    c, order from which a stop row is still reachable; None if row 0 reaches
+    none.  Reachability is decided level by level over free variables."""
+    order, levels = _levels(len(lattice.variables), k)
+    masks = lattice.masks[0, order]
+    bits = (np.int64(1) << np.array(lattice.variables, np.int64))[:, None]
+    stop = np.asarray(stop)[order]
+    reach = stop.copy()
+    below = np.zeros(len(order), np.intp)  # first reaching child, as a position
+    for part, children in levels:
+        link = (((masks[part] & bits) != 0)[:, None]
+                & (masks[children] == (masks[part] & ~bits)[:, None]))
+        children = children.reshape(-1, children.shape[-1])
+        hits = reach[children] & link.reshape(children.shape)
+        reach[part] |= hits.any(axis=0)
+        below[part] = children[hits.argmax(axis=0), np.arange(children.shape[1])]
+    if not reach[-1]:
+        return None
+    path = [len(order) - 1]
+    while not stop[path[-1]]:
+        path.append(below[path[-1]])
+    return order[path].tolist()
 
 
 @lru_cache(maxsize=LATTICE_CACHE)

@@ -14,7 +14,8 @@ duplicates across orderings collapsed.
 
 `implementations` enumerates Imp(f) through ess(f)! diagrams and refuses
 above 8 essential variables.  `imp_count` counts it on the restriction
-lattice instead, at every radix, within the lattice's memory budget.
+lattice instead, at every radix, within the lattice's memory budget, and
+`find_full_depth_ordering` reads its ordering off the same lattice.
 """
 
 from __future__ import annotations
@@ -279,40 +280,25 @@ def imp_count_recursive(f: KFunction) -> int:
 def find_full_depth_ordering(f: KFunction) -> tuple[int, ...]:
     """An ordering whose reduced diagram reaches the maximal depth ess(f)+1.
 
-    Greedy construction: repeatedly branch on a strongly essential variable
-    (one whose fixing can preserve every other essential variable), which
-    pins a full-length path.  Falls back to exhaustive search, though the
-    greedy step cannot fail while strongly essential variables exist.
+    Branching on a strongly essential variable (one whose fixing can
+    preserve every other essential variable) at every step pins a
+    full-length path: `bitops.descent` walks f's restriction lattice down
+    to a constant that way, and the ordering is the variables it fixes.
+    Falls back to exhaustive search, though the walk cannot fail while
+    strongly essential variables exist.
     """
     ess = f.essential_set()
     if not ess:
         raise ValueError("f has no essential variables")
-    order = []
-    g = f
-    while True:
-        remaining = g.essential_set()
-        if len(remaining) == 1:
-            order.extend(sorted(remaining))
-            break
-        advanced = False
-        for i in sorted(remaining):
-            for c in range(g.k):
-                h = g.cofactor(i, c)
-                if h.essential_set() == remaining - {i}:
-                    order.append(i)
-                    g = h
-                    advanced = True
-                    break
-            if advanced:
-                break
-        if not advanced:
-            break
-
+    lattice = bitops.function_lattice(f)
+    path = bitops.descent(lattice, f.k, lattice.masks[0] == 0)
     target = len(ess) + 1
-    if len(order) == len(ess):
-        d = reduce(build_odt(f, order))
-        if depth(d) == target:
-            return tuple(order)
+    if path is not None:
+        fixed = bitops.fixed_masks(lattice.variables, f.k)
+        order = tuple(int(fixed[lo] ^ fixed[hi]).bit_length()
+                      for hi, lo in zip(path, path[1:]))
+        if depth(reduce(build_odt(f, order))) == target:
+            return order
     for perm in itertools.permutations(sorted(ess)):
         if depth(reduce(build_odt(f, perm))) == target:
             return perm

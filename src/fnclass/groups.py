@@ -459,10 +459,6 @@ def _generators(gd: GroupDescriptor) -> tuple[Transformation, ...]:
 # orbits
 # ---------------------------------------------------------------------------
 
-def apply(t: Transformation, f: KFunction) -> KFunction:
-    return t.apply(f)
-
-
 def _orbit_rows(f: KFunction, gd: GroupDescriptor,
                 max_orbit: int = 1 << 22) -> np.ndarray:
     """Every table of f's orbit as uint8 rows, ascending by id.

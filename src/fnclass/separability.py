@@ -10,7 +10,9 @@ variable set M is separable in f when it is exactly Ess of a subfunction.
 A distributive set of an inseparable M is a minimal set J, disjoint from M,
 such that every way of fixing all of J kills the essentiality of some member
 of M.  An s-system of a family is a transversal in which every element is
-the sole representative of some member set.
+the sole representative of some member set.  Dis(M, f) and subfunction
+chains are read off the lattice too, so its memory budget bounds them;
+`is_separable` and `KFunction`'s cofactors stay the independent checks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from . import bitops
 from .kfun import KFunction, VarSet
@@ -77,21 +81,13 @@ def is_separable(f: KFunction, m: Iterable[int]) -> bool:
 # distributive sets and s-systems
 # ---------------------------------------------------------------------------
 
-def _blocks(f: KFunction, mset: frozenset[int], j: tuple[int, ...]) -> bool:
-    # J blocks M iff no assignment of J leaves all of M essential.
-    for consts in itertools.product(range(f.k), repeat=len(j)):
-        g = f.restrict(dict(zip(j, consts)))
-        if mset <= g.essential_set():
-            return False
-    return True
-
-
-def distributive_sets(m: Iterable[int], f: KFunction,
-                      minimal_only: bool = True) -> frozenset[VarSet]:
+def distributive_sets(m: Iterable[int], f: KFunction) -> frozenset[VarSet]:
     """Dis(M, f): the blocking sets J of M in f, minimal under inclusion.
 
-    `minimal_only=False` returns the full (upward-closed) blocking family
-    instead of just its minimal elements.  Empty iff M is separable.
+    J blocks M iff no row of f's restriction lattice that fixes exactly J
+    keeps all of M essential.  The fixed sets of the rows that do are closed
+    under subsets, so J is minimal iff it blocks and dropping any one of its
+    variables does not.  Empty iff M is separable.
     """
     mset = frozenset(m)
     ess = f.essential_set()
@@ -99,19 +95,18 @@ def distributive_sets(m: Iterable[int], f: KFunction,
         raise ValueError("M must be non-empty")
     if not mset <= ess:
         raise ValueError(f"{sorted(mset)} is not a subset of Ess(f) = {sorted(ess)}")
+    lattice = bitops.function_lattice(f)
+    want = sum(1 << (i - 1) for i in mset)
+    keeps = (lattice.masks[0] & want) == want
+    kept = set(bitops.fixed_masks(lattice.variables, f.k)[keeps].tolist())
+    found = set()
     pool = sorted(ess - mset)
-    found: list[frozenset[int]] = []
     for size in range(1, len(pool) + 1):
         for j in itertools.combinations(pool, size):
-            jset = frozenset(j)
-            if minimal_only and any(base <= jset for base in found):
-                continue
-            if any(base <= jset for base in found):
-                # blocking is upward monotone: supersets need no re-check
-                found.append(jset)
-                continue
-            if _blocks(f, mset, j):
-                found.append(jset)
+            bits = [1 << (i - 1) for i in j]
+            fixed = sum(bits)
+            if fixed not in kept and all(fixed - bit in kept for bit in bits):
+                found.add(frozenset(j))
     return frozenset(found)
 
 
@@ -163,41 +158,21 @@ def minimal_transversals(family: Iterable[Iterable[int]]) -> frozenset[VarSet]:
 def subfunction_chain(f: KFunction, g: KFunction) -> list[KFunction]:
     """A chain g = h_0 < h_1 < ... < h_t = f with ess rising by 1 per link.
 
-    Each link fixes a single essential variable of the larger function.
-    Existence for any g in Sub(f) is a theorem; the search backtracks over
-    single-variable restrictions.
+    Each link fixes a single essential variable of the larger function:
+    `bitops.descent` walks f's restriction lattice down to a row whose table
+    is g.  Existence for any g in Sub(f) is a theorem.
     """
     if (g.k, g.n) != (f.k, f.n):
         raise ValueError("g must live in the same space as f")
-    if g not in subfunctions(f):
+    lattice = bitops.function_lattice(f)
+    is_g = (lattice.tables[0] == np.frombuffer(g.values, np.uint8)).all(axis=1)
+    if not is_g.any():
         raise ValueError("g is not a subfunction of f")
-
-    floor = g.ess()
-    dead: set[bytes] = set()
-
-    def descend(h: KFunction) -> list[KFunction] | None:
-        if h == g:
-            return [h]
-        want = h.ess() - 1
-        if want < floor:
-            return None
-        for i in sorted(h.essential_set()):
-            for c in range(h.k):
-                nxt = h.cofactor(i, c)
-                if nxt.values in dead:
-                    continue
-                if nxt.ess() != want or g not in subfunctions(nxt):
-                    continue
-                tail = descend(nxt)
-                if tail is not None:
-                    return tail + [h]
-                dead.add(nxt.values)
-        return None
-
-    chain = descend(f)
-    if chain is None:  # unreachable if the chain theorem holds
+    path = bitops.descent(lattice, f.k, is_g)
+    if path is None:  # unreachable if the chain theorem holds
         raise RuntimeError("no essential-increment chain found")
-    return chain
+    return [KFunction(f.k, f.n, lattice.tables[0, row].tobytes())
+            for row in reversed(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,16 @@ class TestDepthSearch:
         order = dg.find_full_depth_ordering(G())
         assert dg.depth(dg.reduce(dg.build_odt(G(), order))) == 4
 
+    @pytest.mark.parametrize("k,n,count", [(3, 3, 30), (2, 6, 30)])
+    def test_full_depth_on_samples(self, k, n, count):
+        import random
+        rng = random.Random(100 * k + n)
+        for _ in range(count):
+            f = KFunction.from_id(rng.randrange(k ** k ** n), k, n)
+            order = dg.find_full_depth_ordering(f)
+            assert sorted(order) == sorted(f.essential_set())
+            assert dg.depth(dg.reduce(dg.build_odt(f, order))) == f.ess() + 1
+
     def test_full_depth_rejects_constant(self):
         with pytest.raises(ValueError):
             dg.find_full_depth_ordering(KFunction.constant(2, 2, 0))

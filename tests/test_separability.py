@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +17,31 @@ def F():
 
 def G():
     return parse("x1*x2 + x1^0*x3", 2)
+
+
+def seeded(k, n, count, seed):
+    rng = random.Random(seed)
+    return [KFunction.from_id(rng.randrange(k ** k ** n), k, n)
+            for _ in range(count)]
+
+
+def every_m(f):
+    ess = sorted(f.essential_set())
+    return [frozenset(m) for r in range(1, len(ess) + 1)
+            for m in itertools.combinations(ess, r)]
+
+
+def blocking_oracle(m, f):
+    """Dis(M, f) from the definition: the J in Ess(f) \\ M such that every
+    assignment of J, applied with KFunction.restrict, leaves some member of
+    M inessential, minimal under inclusion."""
+    mset = frozenset(m)
+    pool = sorted(f.essential_set() - mset)
+    blocking = [frozenset(j) for size in range(1, len(pool) + 1)
+                for j in itertools.combinations(pool, size)
+                if not any(mset <= f.restrict(dict(zip(j, consts))).essential_set()
+                           for consts in itertools.product(range(f.k), repeat=size))]
+    return frozenset(j for j in blocking if not any(o < j for o in blocking))
 
 
 # the eleven subfunctions of g and the thirteen of f, as expressions
@@ -128,23 +154,35 @@ class TestDistributiveSets:
     def test_empty_for_separable_set(self):
         assert distributive_sets({2, 3}, F()) == frozenset()
 
-    def test_minimality_by_subset_recheck(self):
-        # oracle: recompute the full blocking family and keep minimal members
-        f = KFunction.from_hex("cf53", 4)
-        m = frozenset({1, 2})
-        full = distributive_sets(m, f, minimal_only=False)
-        minimal = {j for j in full if not any(o < j for o in full)}
-        assert distributive_sets(m, f) == minimal
-        assert distributive_sets(m, f) == {frozenset({3, 4})}
+    def test_matches_blocking_oracle_exhaustive_n3(self):
+        for ident in range(256):
+            f = KFunction.from_id(ident, 2, 3)
+            for m in every_m(f):
+                assert distributive_sets(m, f) == blocking_oracle(m, f)
 
-    def test_full_family_is_upward_closed_within_pool(self):
-        f = G()
-        m = frozenset({2, 3})
-        full = distributive_sets(m, f, minimal_only=False)
-        pool = f.essential_set() - m
-        for j in full:
-            for extra in pool - j:
-                assert j | {extra} in full
+    def test_matches_blocking_oracle_cf53(self):
+        f = KFunction.from_hex("cf53", 4)
+        for m in every_m(f):
+            assert distributive_sets(m, f) == blocking_oracle(m, f)
+        assert distributive_sets({1, 2}, f) == {frozenset({3, 4})}
+
+    @pytest.mark.parametrize("k,n,count", [(2, 5, 40), (3, 2, 60), (3, 3, 25)])
+    def test_matches_blocking_oracle_samples(self, k, n, count):
+        for f in seeded(k, n, count, seed=10 * k + n):
+            for m in every_m(f):
+                assert distributive_sets(m, f) == blocking_oracle(m, f)
+
+    def test_matches_blocking_oracle_inessential_variables(self):
+        # the lattice varies only Ess(f); the oracle fixes any variable.
+        # In the last two, {1} blocks {2, 3} and so does its superset {1, 4}.
+        for f in (parse("x1*x2 + x3", 2, arity=5),
+                  parse("x2*x4 + x2^0*x5", 2, arity=6),
+                  parse("x1*x3 + x2^0*x4", 3, arity=5),
+                  parse("x1*x2 + x1^0*x3 + x4", 2, arity=5),
+                  parse("x1^0*x2 + x1^1*x3 + x4", 3, arity=5)):
+            assert f.ess() < f.n
+            for m in every_m(f):
+                assert distributive_sets(m, f) == blocking_oracle(m, f)
 
     def test_nonempty_iff_inseparable(self):
         for ident in range(256):
@@ -223,6 +261,31 @@ class TestSubfunctionChain:
                 fixes = [(i, c) for i in hi.essential_set() for c in range(2)
                          if hi.cofactor(i, c) == lo]
                 assert fixes
+
+    @pytest.mark.parametrize("f", [
+        *seeded(3, 2, 15, seed=32), *seeded(3, 3, 4, seed=33),
+        parse("x1*x2 + x3", 2, arity=5), parse("x1*x3 + x2^0*x4", 3, arity=5)],
+        ids=lambda f: f"{f.k}-{f.n}-{f.table_text()[:12]}")
+    def test_every_link_fixes_one_essential_variable(self, f):
+        for g in subfunctions(f):
+            chain = subfunction_chain(f, g)
+            assert chain[0] == g and chain[-1] == f
+            for lo, hi in zip(chain, chain[1:]):
+                ess = hi.essential_set()
+                assert any(hi.cofactor(i, c) == lo
+                           and lo.essential_set() == ess - {i}
+                           for i in ess for c in range(f.k))
+
+    def test_constant_is_its_own_chain(self):
+        for c in KFunction.constant(2, 3, 1), KFunction.constant(3, 2, 2):
+            assert subfunction_chain(c, c) == [c]
+
+    def test_not_a_subfunction_ternary(self):
+        f = parse("x1*x2", 3)
+        with pytest.raises(ValueError, match="not a subfunction"):
+            subfunction_chain(f, parse("x1 + x2", 3))
+        with pytest.raises(ValueError, match="same space"):
+            subfunction_chain(f, parse("x1*x2", 3, arity=3))
 
 
 class TestHereditaryInseparability:
