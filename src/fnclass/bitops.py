@@ -113,6 +113,15 @@ def row_keys(rows: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(rows[..., ::-1]).view(f"V{cells}")[..., 0]
 
 
+def key_rows(keys: np.ndarray, cells: int) -> np.ndarray:
+    """(N, cells) uint8 table rows of N `row_keys` keys: its inverse."""
+    if keys.dtype.kind == "V":
+        return keys.view(np.uint8).reshape(-1, cells)[:, ::-1]
+    packed = keys.astype(f"<u{cells // 8}").view(np.uint8)
+    return np.unpackbits(packed.reshape(-1, cells // 8), axis=1,
+                         bitorder="little")
+
+
 @lru_cache(maxsize=LATTICE_CACHE)
 def _fixed_to_zero(k: int, m: int) -> tuple[np.ndarray, ...]:
     """Per digit, each lattice row with that digit fixed to 0 if it is free."""

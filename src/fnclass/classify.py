@@ -108,27 +108,37 @@ def _key(rel: str, k: int, row: list[int]) -> tuple:
     return ("V", value[0]) if rel == "imp" else ("V", *value)
 
 
+def _extra(rel: str, counts: list[int]) -> dict:
+    """A class record's profile: imp, or the sub or sep total and vector."""
+    if rel == "imp":
+        return {"imp": counts[0]}
+    return {rel: sum(counts), f"{rel}_vector": counts}
+
+
 def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
-    """Per relation: a block's distinct keys, each key's first position and
-    each function's key index.  Below ess 2 a key is ess (plus the range
-    for sub); from 2 up imp, the sub or sep vector, which below ess 2 only
+    """Per relation: a block's distinct keys, each key's first position,
+    each function's key index and each key's `_extra` (its first
+    function's profile).  Below ess 2 a key is ess (plus the range for
+    sub); from 2 up imp, the sub or sep vector, which below ess 2 only
     depend on ess."""
     lattice = bitops.restrictions(tables, k, range(n))
     low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
     out = {}
     for rel in relations:
         if rel == "imp":
-            value = bitops.imp_counts(lattice, k)[:, None]
+            value = counts = bitops.imp_counts(lattice, k)[:, None]
         elif rel == "sub":  # the range rule for single-variable functions
+            counts = bitops.sub_counts(lattice, n)
             rng = np.bitwise_or.reduce(np.int64(1) << tables, axis=1)
-            value = np.where(low == 1, rng[:, None], bitops.sub_counts(lattice, n))
+            value = np.where(low == 1, rng[:, None], counts)
         else:
-            value = bitops.sep_counts(lattice.masks, n)
+            value = counts = bitops.sep_counts(lattice.masks, n)
         uniq, first, inverse = np.unique(
             np.hstack([low, value]), axis=0, return_index=True,
             return_inverse=True)
         out[rel] = ([_key(rel, k, row) for row in uniq.tolist()], first,
-                    inverse.reshape(-1))
+                    inverse.reshape(-1),
+                    [_extra(rel, row) for row in counts[first].tolist()])
     return out
 
 
@@ -209,18 +219,6 @@ def _key_str(key: tuple) -> str:
     return ":".join(str(x) for x in key)
 
 
-def _profile_extra(relation: str, rep: KFunction) -> dict:
-    if relation == "imp":
-        return {"imp": imp_count(rep)}
-    if relation == "sub":
-        vec = sub_vector(rep)
-        return {"sub": sum(vec), "sub_vector": list(vec)}
-    if relation == "sep":
-        vec = sep_vector(rep)
-        return {"sep": sum(vec), "sep_vector": list(vec)}
-    return {}
-
-
 def scan_space(k: int, n: int, relations=RELATIONS,
                keep_assignment: bool = False,
                max_space: int = 1 << 22) -> dict[str, ClassificationReport]:
@@ -240,16 +238,18 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     lab = orbit_partition(GroupDescriptor("g", k, n), max_space=max_space)
     minima, inverse, sizes = np.unique(lab, return_inverse=True,
                                        return_counts=True)
-    found = {rel: {} for rel in relations}  # key: (class id, least id)
+    # key: (class id, least id, profile)
+    found = {rel: {} for rel in relations}
     cls = {rel: np.empty(minima.size, np.int64) for rel in relations}
     for lo in range(0, minima.size, bitops.BLOCK):
         block = minima[lo:lo + bitops.BLOCK]
         tables = bitops.tables_from_ids(block, k, n)
-        for rel, (keys, first, index) in _block_keys(
+        for rel, (keys, first, index, extras) in _block_keys(
                 tables, k, n, relations).items():
             seen = found[rel]
             for j in np.argsort(first).tolist():  # class ids by least id
-                seen.setdefault(keys[j], (len(seen), int(block[first[j]])))
+                seen.setdefault(keys[j], (len(seen), int(block[first[j]]),
+                                          extras[j]))
             cls[rel][lo:lo + block.size] = np.array(
                 [seen[key][0] for key in keys])[index]
 
@@ -258,12 +258,11 @@ def scan_space(k: int, n: int, relations=RELATIONS,
         counts = np.zeros(len(found[rel]), np.int64)
         np.add.at(counts, cls[rel], sizes)
         records = []
-        for key, (c, rep_id) in found[rel].items():
-            rep = KFunction.from_id(rep_id, k, n)
+        for key, (c, rep_id, extra) in found[rel].items():
             records.append(ClassRecord(
                 index=c + 1, key=_key_str(key), size=int(counts[c]),
-                representative=rep.table_text(),
-                extra=_profile_extra(rel, rep)))
+                representative=KFunction.from_id(rep_id, k, n).table_text(),
+                extra=extra))
         assign = cls[rel][inverse] if keep_assignment else None
         out[rel] = ClassificationReport(rel, k, n, size, records, assign)
     return out

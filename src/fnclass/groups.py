@@ -13,13 +13,17 @@ and affine ones (lg, a, axa1, rag) require a prime radix.
 
 `Transformation` and `group_elements` are the element-level API and the
 oracle the orbit machinery is tested against.  The orbit machinery itself
-works on numpy arrays from the generators only: `orbit_partition` keeps
-each generator's action on the function ids as a few partial-sum tables
-of at most ID_TABLE entries, rebuilds the id permutation from them as one
+works on numpy arrays from the generators only.  Each generator's action
+on the function ids is a few partial-sum tables of at most ID_TABLE
+entries, built once per group and cached (`_id_action`).
+`orbit_partition` rebuilds every id permutation from them as one
 broadcast sum per round and propagates minimum labels until they settle,
-and `count_orbits` counts the ids that are their own label;
-`canonical_form` expands one orbit as a frontier BFS over table rows, one
-gather per level.
+and `count_orbits` counts the ids that are their own label.
+`canonical_form` expands one orbit as a frontier BFS over function ids,
+a frontier's images under every generator being one table lookup per
+chunk of cells, added up, and deduplicated by a sort.  Above ID_SPACE =
+2^63 functions (P_2^6, P_2^7, P_3^4, ...) ids no longer fit intp, and the
+same BFS runs on `bitops.row_keys` of table rows, one gather per level.
 """
 
 from __future__ import annotations
@@ -459,59 +463,8 @@ def _generators(gd: GroupDescriptor) -> tuple[Transformation, ...]:
 # orbits
 # ---------------------------------------------------------------------------
 
-def _orbit_rows(f: KFunction, gd: GroupDescriptor,
-                max_orbit: int = 1 << 22) -> np.ndarray:
-    """Every table of f's orbit as uint8 rows, ascending by id.
-
-    A frontier BFS: the images of a whole frontier under every generator
-    are one gather, and new tables are found by looking their keys
-    (`bitops.row_keys`, ordered like the ids) up among the sorted keys seen
-    so far.  Raises OrbitBudgetError once more than `max_orbit` tables are
-    seen.
-    """
-    k, cells = gd.k, gd.k ** gd.n
-    gens = group_generators(gd)
-    doms = np.concatenate([np.asarray(t.domain_map, np.intp) for t in gens])
-    # every generator's out_maps, flat: (g, x, v) at (g * cells + x) * k + v
-    outs = np.concatenate([np.asarray(t.out_maps, np.uint8).ravel()
-                           for t in gens])
-    slots = np.arange(0, len(gens) * cells * k, k, dtype=np.int32)
-    frontier = np.frombuffer(f.values, dtype=np.uint8)[None, :]
-    seen = bitops.row_keys(frontier, k)  # sorted
-    rows, keys = [frontier], [seen]
-    while True:
-        images = outs[frontier[:, doms] + slots].reshape(-1, cells)
-        found, first = np.unique(bitops.row_keys(images, k), return_index=True)
-        at = np.searchsorted(seen, found)
-        at[at == len(seen)] = 0
-        fresh = seen[at] != found
-        if not fresh.any():
-            break
-        frontier = images[first[fresh]]
-        seen = np.sort(np.concatenate([seen, found[fresh]]))
-        if seen.size > max_orbit:
-            raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
-        rows.append(frontier)
-        keys.append(found[fresh])
-    return np.concatenate(rows)[np.argsort(np.concatenate(keys))]
-
-
-def canonical_form(f: KFunction, gd: GroupDescriptor,
-                   max_orbit: int = 1 << 22) -> KFunction:
-    """Orbit element with the smallest table id (the k-ary numeral reading).
-
-    Two functions are G-equivalent iff their canonical forms coincide.  The
-    orbit is expanded breadth-first from the generators, a whole frontier
-    per numpy gather; `max_orbit` bounds the expansion.
-    """
-    if (f.k, f.n) != (gd.k, gd.n):
-        raise ValueError("function does not live in the group's space")
-    return KFunction(f.k, f.n, _orbit_rows(f, gd, max_orbit)[0].tobytes())
-
-
-# -- whole-space scans (small spaces) ---------------------------------------
-
 ID_TABLE = 256  # entries per partial-sum table of a generator's id action
+ID_SPACE = 1 << 63  # the largest space whose function ids all fit intp
 
 
 def _outer_sum(parts) -> np.ndarray:
@@ -536,6 +489,114 @@ def _id_tables(t: Transformation) -> list[np.ndarray]:
             for lo in range(0, cells, c)][::-1]
 
 
+@functools.lru_cache(maxsize=64)
+def _id_action(gd: GroupDescriptor) -> tuple[np.ndarray, ...]:
+    """Every generator's `_id_tables`, per chunk (highest cells first) one
+    read-only (generators, k^c) array; only for spaces of at most ID_SPACE
+    functions, where the sums cannot overflow."""
+    parts = tuple(np.stack(chunk)
+                  for chunk in zip(*map(_id_tables, _generators(gd))))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _id_images(ids: np.ndarray, gd: GroupDescriptor) -> np.ndarray:
+    """The ids of the images of `ids` under every generator: per chunk of
+    cells one digit of each id, looked up in every generator's table."""
+    images = 0
+    for part in reversed(_id_action(gd)):
+        images = images + part[:, ids % part.shape[1]]
+        ids = ids // part.shape[1]
+    return images.ravel()
+
+
+@functools.lru_cache(maxsize=64)
+def _row_action(gd: GroupDescriptor) -> tuple[np.ndarray, ...]:
+    """Every generator's domain maps, its out_maps flat ((g, x, v) at
+    (g * cells + x) * k + v) and each (g, x)'s offset into them, read-only."""
+    k, cells = gd.k, gd.k ** gd.n
+    gens = _generators(gd)
+    doms = np.concatenate([np.asarray(t.domain_map, np.intp) for t in gens])
+    outs = np.concatenate([np.asarray(t.out_maps, np.uint8).ravel()
+                           for t in gens])
+    slots = np.arange(0, len(gens) * cells * k, k, dtype=np.int32)
+    for array in (doms, outs, slots):
+        array.flags.writeable = False
+    return doms, outs, slots
+
+
+def _row_images(keys: np.ndarray, gd: GroupDescriptor) -> np.ndarray:
+    """The `bitops.row_keys` of the images of the tables with these keys
+    under every generator, one gather for all of them."""
+    k, cells = gd.k, gd.k ** gd.n
+    doms, outs, slots = _row_action(gd)
+    rows = bitops.key_rows(keys, cells)
+    return bitops.row_keys(outs[rows[:, doms] + slots].reshape(-1, cells), k)
+
+
+def _closure(start: np.ndarray, images, gd: GroupDescriptor,
+             max_orbit: int) -> np.ndarray:
+    """Every key reachable from the one key `start` by `images`, ascending.
+
+    A frontier BFS: each level's images are sorted, equal neighbours are
+    masked out, and the keys not yet seen (looked up among the sorted seen
+    keys) are the next frontier.  Raises OrbitBudgetError once more than
+    `max_orbit` keys are seen.
+    """
+    seen = frontier = start
+    while True:
+        found = np.sort(images(frontier, gd))
+        distinct = np.ones(found.size, bool)
+        distinct[1:] = found[1:] != found[:-1]
+        found = found[distinct]
+        at = np.minimum(np.searchsorted(seen, found), seen.size - 1)
+        frontier = found[seen[at] != found]
+        if not frontier.size:
+            return seen
+        seen = np.sort(np.concatenate([seen, frontier]))
+        if seen.size > max_orbit:
+            raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
+
+
+def _id_bfs(f: KFunction, gd: GroupDescriptor, max_orbit: int) -> np.ndarray:
+    return _closure(np.array([f.id], np.intp), _id_images, gd, max_orbit)
+
+
+def _row_bfs(f: KFunction, gd: GroupDescriptor, max_orbit: int) -> np.ndarray:
+    table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
+    return _closure(bitops.row_keys(table, gd.k), _row_images, gd, max_orbit)
+
+
+def orbit_keys(f: KFunction, gd: GroupDescriptor,
+               max_orbit: int = 1 << 22) -> np.ndarray:
+    """f's orbit, ascending: the function ids (intp) on spaces of at most
+    ID_SPACE functions, the `bitops.row_keys` of the tables above that.
+
+    The orbit is expanded breadth-first from the generators; `max_orbit`
+    bounds the expansion.
+    """
+    if (f.k, f.n) != (gd.k, gd.n):
+        raise ValueError("function does not live in the group's space")
+    bfs = _id_bfs if gd.k ** gd.k ** gd.n <= ID_SPACE else _row_bfs
+    return bfs(f, gd, max_orbit)
+
+
+def canonical_form(f: KFunction, gd: GroupDescriptor,
+                   max_orbit: int = 1 << 22) -> KFunction:
+    """Orbit element with the smallest table id (the k-ary numeral reading).
+
+    Two functions are G-equivalent iff their canonical forms coincide.
+    """
+    least = orbit_keys(f, gd, max_orbit)[:1]
+    if least.dtype == np.intp:
+        return KFunction.from_id(int(least[0]), f.k, f.n)
+    return KFunction(f.k, f.n,
+                     bitops.key_rows(least, len(f.values))[0].tobytes())
+
+
+# -- whole-space scans (small spaces) ---------------------------------------
+
 def orbit_partition(gd: GroupDescriptor,
                     max_space: int = 1 << 22) -> np.ndarray:
     """Orbit label (the orbit's minimal function id) for every id in the space.
@@ -544,21 +605,22 @@ def orbit_partition(gd: GroupDescriptor,
     lowers a label to the labels of its images and preimages under every
     generator, then jumps pointers (lab = lab[lab]).  A label only ever
     falls to another id of the same orbit, so the fixed point is the orbit
-    minimum.  Only each generator's `_id_tables` (a few KB) are kept; its
-    intp id permutation is rebuilt from them as one broadcast sum per
-    round, which is cheaper than holding it and than indexing with int32.
+    minimum.  Only each generator's `_id_tables` (a few KB, cached per
+    group) are kept; its intp id permutation is rebuilt from them as one
+    broadcast sum per round, which is cheaper than holding it and than
+    indexing with int32.
     """
     size = gd.k ** (gd.k ** gd.n)
     if size > max_space:
         raise OrbitBudgetError(
             f"space of {size} functions exceeds the scan budget {max_space}")
-    tables = [_id_tables(t) for t in group_generators(gd)]
+    parts = _id_action(gd)
     lab = np.arange(size, dtype=np.intp)
     pulled = np.empty_like(lab)
     while True:
         before = lab.copy()
-        for parts in tables:
-            perm = _outer_sum(parts)
+        for tables in zip(*parts):  # one generator's tables at a time
+            perm = _outer_sum(tables)
             np.minimum(lab, lab[perm], out=lab)  # from the image
             pulled[perm] = lab                   # from the preimage
             np.minimum(lab, pulled, out=lab)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import classify_space, scan_space
-from .groups import GroupDescriptor, _orbit_rows, count_orbits
+from .groups import GroupDescriptor, count_orbits, orbit_keys
 from .spform import parse
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def _reproduce_table3() -> TableResult:
     ge = GroupDescriptor("ge", 2, 3)
     for rep, gen_size, imp, imp_size, sub, sub_size, sep, sep_size in TABLE3:
         f = parse(rep, 2, arity=3)
-        orbit = len(_orbit_rows(f, ge))
+        orbit = orbit_keys(f, ge).size
         sv = sub_vector(f)
         pv = sep_vector(f)
         rows.append([rep, orbit, imp_count(f), imp_sizes.get(imp_count(f)),

@@ -267,7 +267,9 @@ def _check_chains(pools, mutant, rng):
                 for lo, hi in zip(chain, chain[1:]):
                     if hi.ess() != lo.ess() + 1:
                         return False, checked, f.table_text()
-                    if lo not in sp.subfunctions(hi):
+                    # one step: a cofactor of hi on one essential variable
+                    if not any(lo == hi.cofactor(x, c)
+                               for x in hi.essential_set() for c in range(k)):
                         return False, checked, f.table_text()
     return True, checked, None
 

@@ -10,7 +10,9 @@ from fnclass.classify import (_block_keys, _key_str, class_counts,
                               classify_space, imp_equivalent_direct, imp_key,
                               imp_signature, refinement_check, scan_space,
                               sep_key, sub_key)
+from fnclass.diagrams import imp_count
 from fnclass.kfun import KFunction
+from fnclass.separability import sep_vector, sub_vector
 from fnclass.spform import parse
 
 # P_3^2 classes: (key, size, representative, imp/sub/sep total)
@@ -193,8 +195,8 @@ def direct_scan(k: int, n: int, rel: str):
     keys = []
     for lo in range(0, size, bitops.BLOCK):
         ids = np.arange(lo, min(lo + bitops.BLOCK, size))
-        uniq, _, index = _block_keys(bitops.tables_from_ids(ids, k, n), k, n,
-                                     (rel,))[rel]
+        uniq, _, index, _ = _block_keys(bitops.tables_from_ids(ids, k, n),
+                                        k, n, (rel,))[rel]
         keys += [uniq[i] for i in index.tolist()]
     least = {}
     for ident, key in enumerate(keys):
@@ -218,6 +220,15 @@ class TestOrbitReduction:
             assert [(c.key, c.size, c.representative)
                     for c in reports[rel].classes] == classes
             assert np.array_equal(reports[rel].assignment, assignment)
+            # each record's profile is its representative's own, read off
+            # the representative's lattice over its essential variables
+            least = np.unique(assignment, return_index=True)[1]
+            for c, ident in zip(reports[rel].classes, least.tolist()):
+                rep = KFunction.from_id(ident, k, n)
+                vec = {"imp": None, "sub": sub_vector(rep),
+                       "sep": sep_vector(rep)}[rel]
+                assert c.extra == ({"imp": imp_count(rep)} if vec is None else
+                                   {rel: sum(vec), f"{rel}_vector": list(vec)})
 
 
 class TestCounts:

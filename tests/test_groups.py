@@ -5,15 +5,17 @@ import random
 import numpy as np
 import pytest
 
+from fnclass import bitops
 from fnclass.groups import (GROUP_NAMES, GroupDescriptor, OrbitBudgetError,
-                            Transformation, _generators, _id_tables,
-                            _outer_sum, add_linear, affine, arg_translate,
-                            canonical_form, count_orbits, group_elements,
-                            group_generators,
-                            identity, orbit_partition, orbit_transversal,
-                            output_image, output_map, output_translate,
-                            var_perm, var_perm_value_maps)
+                            Transformation, _generators, _id_bfs, _id_tables,
+                            _outer_sum, _row_bfs, add_linear, affine,
+                            arg_translate, canonical_form, count_orbits,
+                            group_elements, group_generators,
+                            identity, orbit_keys, orbit_partition,
+                            orbit_transversal, output_image, output_map,
+                            output_translate, var_perm, var_perm_value_maps)
 from fnclass.kfun import KFunction
+from fnclass.scan5 import _domain_maps, _orbit
 from fnclass.spform import parse
 
 
@@ -187,6 +189,15 @@ class TestCanonicalForm:
             canonical_form(parse("x1 + x2*x3", 2), GroupDescriptor("ge", 2, 3),
                            max_orbit=3)
 
+    def test_budget_row_bfs(self):
+        # P_3^4 has 3^81 functions, so its orbits take the row BFS; x4's
+        # s-orbit is x1..x4, and x1 has the least id
+        x4 = KFunction(3, 4, bytes([0] * 27 + [1] * 27 + [2] * 27))
+        assert canonical_form(x4, GroupDescriptor("s", 3, 4), max_orbit=4) == \
+            KFunction(3, 4, bytes(range(3)) * 27)
+        with pytest.raises(OrbitBudgetError):
+            canonical_form(x4, GroupDescriptor("s", 3, 4), max_orbit=3)
+
 
 class TestOrbits:
     @pytest.mark.parametrize("name,k,n,count", [
@@ -319,16 +330,38 @@ class TestOrbitOracles:
             assert canonical_form(f, gd).id == least
 
     @pytest.mark.parametrize("name,k,n", [("ge", 2, 5), ("cf", 2, 7),
-                                          ("s", 3, 4)])
+                                          ("s", 3, 4), ("ge", 15, 1),
+                                          ("ge", 16, 1), ("g", 3, 3),
+                                          ("cf", 2, 6)])
     def test_canonical_form_is_element_minimum(self, name, k, n):
-        # P_2^5 is keyed on the packed id; P_2^7 and P_3^4 (beyond 2^64
-        # functions) on the row bytes, last cell first
+        # the id BFS runs up to 2^63 functions (P_2^5, P_15^1 and P_3^3);
+        # above, the row BFS keys P_2^6 on the packed id and P_16^1, P_2^7
+        # and P_3^4 on the row bytes, last cell first
         gd = GroupDescriptor(name, k, n)
         rng = random.Random(7)
         f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
         form = canonical_form(f, gd)
         assert form.id == min(t.apply(f).id for t in group_elements(gd))
         assert canonical_form(form, gd) == form
+
+
+class TestOrbitBfs:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_p25_ge_orbit_matches_scan5(self, seed):
+        w = random.Random(seed).getrandbits(32)
+        orbit = orbit_keys(KFunction.from_word(w, 5), GroupDescriptor("ge", 2, 5))
+        assert orbit.dtype == np.intp  # the id BFS
+        assert orbit.tolist() == _orbit(w, _domain_maps(5)).tolist()
+
+    @pytest.mark.parametrize("name,k,n", ORACLE_SPACES)
+    def test_row_and_id_bfs_agree(self, name, k, n):
+        gd = GroupDescriptor(name, k, n)
+        rng = random.Random(f"{name}{k}{n}")
+        for _ in range(3):
+            f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
+            rows = bitops.key_rows(_row_bfs(f, gd, 1 << 22), k ** n)
+            ids = rows.astype(np.intp) @ k ** np.arange(k ** n)
+            assert ids.tolist() == _id_bfs(f, gd, 1 << 22).tolist()
 
 
 # -- the id permutations of the orbit partition, against Transformation.apply
