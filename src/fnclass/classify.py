@@ -26,7 +26,8 @@ import numpy as np
 
 from . import bitops
 from .diagrams import imp_count
-from .groups import GROUP_NAMES, GroupDescriptor, orbit_partition
+from .groups import (GROUP_NAMES, GroupDescriptor, orbit_minima,
+                     orbit_partition)
 from .kfun import KFunction
 from .separability import sep_vector, sub_vector
 
@@ -219,6 +220,13 @@ def _key_str(key: tuple) -> str:
     return ":".join(str(x) for x in key)
 
 
+def _orbit_index(labels: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    """Each id's orbit as an index into the ascending `minima`."""
+    position = np.empty(labels.size, np.int64)
+    position[minima] = np.arange(minima.size)
+    return position[labels]
+
+
 def scan_space(k: int, n: int, relations=RELATIONS,
                keep_assignment: bool = False,
                max_space: int = 1 << 22) -> dict[str, ClassificationReport]:
@@ -236,8 +244,7 @@ def scan_space(k: int, n: int, relations=RELATIONS,
         raise MemoryError(f"space of {size} functions exceeds budget {max_space}")
     relations = tuple(relations)
     lab = orbit_partition(GroupDescriptor("g", k, n), max_space=max_space)
-    minima, inverse, sizes = np.unique(lab, return_inverse=True,
-                                       return_counts=True)
+    minima, sizes = orbit_minima(lab)
     # key: (class id, least id, profile)
     found = {rel: {} for rel in relations}
     cls = {rel: np.empty(minima.size, np.int64) for rel in relations}
@@ -253,6 +260,7 @@ def scan_space(k: int, n: int, relations=RELATIONS,
             cls[rel][lo:lo + block.size] = np.array(
                 [seen[key][0] for key in keys])[index]
 
+    index = _orbit_index(lab, minima) if keep_assignment else None
     out = {}
     for rel in relations:
         counts = np.zeros(len(found[rel]), np.int64)
@@ -263,7 +271,7 @@ def scan_space(k: int, n: int, relations=RELATIONS,
                 index=c + 1, key=_key_str(key), size=int(counts[c]),
                 representative=KFunction.from_id(rep_id, k, n).table_text(),
                 extra=extra))
-        assign = cls[rel][inverse] if keep_assignment else None
+        assign = None if index is None else cls[rel][index]
         out[rel] = ClassificationReport(rel, k, n, size, records, assign)
     return out
 
@@ -289,15 +297,15 @@ def classify_space(k: int, n: int, relation: str,
     if relation in GROUP_NAMES:
         labels = orbit_partition(GroupDescriptor(relation, k, n),
                                  max_space=max_space)
-        reps, inverse, counts = np.unique(labels, return_inverse=True,
-                                          return_counts=True)
+        reps, counts = orbit_minima(labels)
         records = []
-        for idx, (rep_id, cnt) in enumerate(zip(reps, counts)):
-            rep = KFunction.from_id(int(rep_id), k, n)
+        for idx, (rep_id, cnt) in enumerate(zip(reps.tolist(),
+                                                counts.tolist())):
+            rep = KFunction.from_id(rep_id, k, n)
             records.append(ClassRecord(
-                index=idx + 1, key=f"orbit:{rep.table_text()}", size=int(cnt),
+                index=idx + 1, key=f"orbit:{rep.table_text()}", size=cnt,
                 representative=rep.table_text()))
-        assignment = inverse.astype(np.int64) if keep_assignment else None
+        assignment = _orbit_index(labels, reps) if keep_assignment else None
         return ClassificationReport(relation, k, n, int(labels.size), records,
                                     assignment)
     raise ValueError(f"unknown relation {relation!r}; use one of "

@@ -16,9 +16,11 @@ oracle the orbit machinery is tested against.  The orbit machinery itself
 works on numpy arrays from the generators only.  Each generator's action
 on the function ids is a few partial-sum tables of at most ID_TABLE
 entries, built once per group and cached (`_id_action`).
-`orbit_partition` rebuilds every id permutation from them as one
-broadcast sum per round and propagates minimum labels until they settle,
-and `count_orbits` counts the ids that are their own label.
+`orbit_partition` rebuilds each generator's id permutation from them
+into one preallocated array and lowers every id's label to its image's
+label, a gather into another, until the labels settle; a round allocates
+nothing of the space's size.  `orbit_minima` reads each orbit's least id,
+the one id that is its own label, and its size off the labels.
 `canonical_form` expands one orbit as a frontier BFS over function ids,
 a frontier's images under every generator being one table lookup per
 chunk of cells, added up, and deduplicated by a sort.  Above ID_SPACE =
@@ -602,13 +604,15 @@ def orbit_partition(gd: GroupDescriptor,
     """Orbit label (the orbit's minimal function id) for every id in the space.
 
     Min-label propagation: every id starts as its own label, and each round
-    lowers a label to the labels of its images and preimages under every
-    generator, then jumps pointers (lab = lab[lab]).  A label only ever
-    falls to another id of the same orbit, so the fixed point is the orbit
-    minimum.  Only each generator's `_id_tables` (a few KB, cached per
-    group) are kept; its intp id permutation is rebuilt from them as one
-    broadcast sum per round, which is cheaper than holding it and than
-    indexing with int32.
+    lowers a label to the label of its image under every generator, then
+    jumps pointers (lab = lab[lab]).  A label only ever falls to another id
+    of the same orbit.  Images alone reach the whole orbit, since a
+    generator's inverse is one of its powers, so the fixed point is the
+    orbit minimum.  Only each generator's `_id_tables` (a few KB, cached per
+    group) are kept; its intp id permutation is rebuilt from them each
+    round into one preallocated array, which is cheaper than holding every
+    permutation and than indexing with int32.  A round allocates no array
+    of the space's size: every gather writes into a preallocated one.
     """
     size = gd.k ** (gd.k ** gd.n)
     if size > max_space:
@@ -616,32 +620,38 @@ def orbit_partition(gd: GroupDescriptor,
             f"space of {size} functions exceeds the scan budget {max_space}")
     parts = _id_action(gd)
     lab = np.arange(size, dtype=np.intp)
-    pulled = np.empty_like(lab)
+    spare, perm, before = (np.empty_like(lab) for _ in range(3))
     while True:
-        before = lab.copy()
-        for tables in zip(*parts):  # one generator's tables at a time
-            perm = _outer_sum(tables)
-            np.minimum(lab, lab[perm], out=lab)  # from the image
-            pulled[perm] = lab                   # from the preimage
-            np.minimum(lab, pulled, out=lab)
-        lab = lab[lab]
+        np.copyto(before, lab)
+        for g in range(parts[0].shape[0]):  # one generator at a time
+            *head, last = [part[g] for part in parts]
+            ids = last if not head else np.add.outer(
+                _outer_sum(head), last, out=perm.reshape(-1, last.size)).ravel()
+            # ids are in range; "clip" keeps np.take from buffering `out`
+            np.take(lab, ids, out=spare, mode="clip")
+            np.minimum(lab, spare, out=lab)
+        np.take(lab, lab, out=spare, mode="clip")
+        lab, spare = spare, lab
         if np.array_equal(lab, before):
-            return lab.astype(np.int64)
+            return lab.astype(np.int64, copy=False)
+
+
+def orbit_minima(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(minima, sizes) of `orbit_partition` labels: every orbit's least id,
+    ascending, and the number of ids in it.  An orbit's minimum is the one
+    id that is its own label."""
+    minima = np.flatnonzero(labels == np.arange(labels.size))
+    return minima, np.bincount(labels)[minima]
 
 
 def orbit_transversal(gd: GroupDescriptor,
                       max_space: int = 1 << 22) -> list[tuple[KFunction, int]]:
     """One (representative, orbit size) pair per orbit, ascending by id."""
-    labels = orbit_partition(gd, max_space=max_space)
-    reps, counts = np.unique(labels, return_counts=True)
-    return [(KFunction.from_id(int(r), gd.k, gd.n), int(c))
-            for r, c in zip(reps, counts)]
+    minima, sizes = orbit_minima(orbit_partition(gd, max_space=max_space))
+    return [(KFunction.from_id(r, gd.k, gd.n), c)
+            for r, c in zip(minima.tolist(), sizes.tolist())]
 
 
 def count_orbits(gd: GroupDescriptor, max_space: int = 1 << 22) -> int:
-    """t(G): the number of orbits of the group on the whole function space.
-
-    Each orbit has exactly one id that is its own label, its minimum.
-    """
-    labels = orbit_partition(gd, max_space=max_space)
-    return int(np.count_nonzero(labels == np.arange(labels.size)))
+    """t(G): the number of orbits of the group on the whole function space."""
+    return int(orbit_minima(orbit_partition(gd, max_space=max_space))[0].size)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitops
 from .classify import ClassRecord, ClassificationReport
-from .groups import GroupDescriptor, orbit_partition
+from .groups import GroupDescriptor, orbit_minima, orbit_partition
 from .kfun import KFunction
 
 _N = 5
@@ -151,8 +151,7 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
     m = n - 1
     cof = _cofactors(m)
     lab = orbit_partition(GroupDescriptor("ge", 2, m))
-    minima = np.flatnonzero(lab == np.arange(lab.size))
-    weights = np.bincount(lab)[minima]
+    minima, weights = orbit_minima(lab)
     if int(weights.sum()) != lab.size:  # sum_r |H r| = 2^(2^(n-1))
         raise RuntimeError("orbit labels are not orbit minima")
     classes: dict[int, list[int]] = {}

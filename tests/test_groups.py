@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,7 +286,9 @@ class TestOutputImage:
 ORACLE_SPACES = [(name, k, n) for k, n in ((2, 3), (3, 2))
                  for name in ("s", "ca", "g", "ge", "cf", "lf", "lg", "a",
                               "axa1", "rag", "fullsym")] + \
-    [(name, 2, 4) for name in ("s", "ca", "g", "ge", "cf", "lf", "fullsym")]
+    [(name, 2, 4) for name in ("s", "ca", "g", "ge", "cf", "lf", "fullsym")] + \
+    [(name, k, 1) for k in (5, 7)  # generators of order k, not involutions
+     for name in ("s", "ca", "g", "ge", "cf", "lf", "lg", "a", "axa1", "rag")]
 
 
 def burnside_orbits(elements, k):
@@ -328,6 +331,21 @@ class TestOrbitOracles:
             least = min(t.apply(f).id for t in elements)
             assert labels[x] == least
             assert canonical_form(f, gd).id == least
+
+    @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("g", 7, 1)])
+    def test_partition_allocates_no_round_temporaries(self, name, k, n):
+        # the labels, a spare, the id permutation and the previous round's
+        # labels, plus the convergence test's boolean array: a temporary of
+        # the space's size per generator step would add a whole label array
+        gd = GroupDescriptor(name, k, n)
+        orbit_partition(gd)  # build the cached generator tables
+        tracemalloc.start()
+        try:
+            labels = orbit_partition(gd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * labels.nbytes
 
     @pytest.mark.parametrize("name,k,n", [("ge", 2, 5), ("cf", 2, 7),
                                           ("s", 3, 4), ("ge", 15, 1),
