@@ -12,7 +12,9 @@ cell, so the cells with x_i = c are the cells with x_i = 0 shifted up by
 c * k^(i-1) bytes.  `essential_mask` and `cofactor` work on that int and
 back `KFunction`'s own essential-variable and cofactor code, which stays
 independent of the lattice it cross-checks.  `row_keys` is the one sort key
-of table rows, shared by the lattice and the orbit search in `groups`.
+of table rows, shared by the lattice and the orbit search in `groups`, and
+`cell_digits` the one per-cell digit table, shared by these kernels, the
+decision-tree builder in `diagrams` and the SP forms in `spform`.
 """
 
 from __future__ import annotations
@@ -36,12 +38,19 @@ LATTICE_CELLS = 1 << 27
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
+def cell_digits(k: int, n: int) -> np.ndarray:
+    """(n, k^n) uint8, read-only: row i holds each cell's digit of x_{i+1}."""
+    digits = (np.arange(k ** n) // k ** np.arange(n)[:, None] % k).astype(
+        np.uint8)
+    digits.flags.writeable = False
+    return digits
+
+
+@lru_cache(maxsize=32)
 def _digit_zero(k: int, n: int) -> tuple[int, ...]:
     """Per variable, the byte mask (as an int) of the cells whose digit is 0."""
-    cells = np.arange(k ** n)
-    zero = cells // k ** np.arange(n)[:, None] % k == 0
     return tuple(int.from_bytes(row.tobytes(), "little")
-                 for row in zero * np.uint8(0xFF))
+                 for row in (cell_digits(k, n) == 0) * np.uint8(0xFF))
 
 
 def essential_mask(values: bytes, k: int, n: int) -> int:
@@ -88,9 +97,7 @@ class Lattice(NamedTuple):
 @lru_cache(maxsize=LATTICE_CACHE)
 def _zeroed(k: int, n: int) -> np.ndarray:
     """(n, k^n): row i maps each cell to the cell with x_{i+1} := 0."""
-    cells = np.arange(k ** n)
-    step = k ** np.arange(n)[:, None]
-    return cells - cells // step % k * step
+    return np.arange(k ** n) - cell_digits(k, n) * k ** np.arange(n)[:, None]
 
 
 def essential_masks(tables: np.ndarray, k: int, n: int) -> np.ndarray:

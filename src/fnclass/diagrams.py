@@ -6,6 +6,12 @@ reduction rules (merge equal terminals / equal-shaped internal nodes,
 remove nodes whose children coincide) applied to exhaustion; for a fixed
 function and ordering the result is canonical.
 
+`build_odt` takes the tree's shape from a cached per-(k, depth) post-order
+node table and reads every leaf value with one gather: a leaf's cell is
+its branch digits (`bitops.cell_digits`) weighted by k^(x-1) over the
+ordering.  `reduce` is one bottom-up pass with a list as the old-to-new
+index map and an insertion-ordered dict as the new node table.
+
 An implementation is a root-to-terminal label path, recorded as the word of
 node labels, the word of edge values, and the terminal value.  Edges to a
 shared child with different values count as distinct paths.  Imp(f) is the
@@ -22,6 +28,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import bitops
 from .kfun import KFunction, VarSet
@@ -110,24 +119,33 @@ def build_odt(f: KFunction, ordering) -> OrderedDiagram:
     if missing:
         raise ValueError(f"ordering {order} omits essential variables {sorted(missing)}")
 
-    nodes = []
-    point = [0] * f.n
+    m = len(order)
+    weights = np.array([f.k ** (i - 1) for i in order], np.int64)
+    cells = weights @ bitops.cell_digits(f.k, m)[::-1]
+    leaves = np.frombuffer(f.values, np.uint8)[cells].tolist()
+    nodes = [("T", leaves[at]) if level == m else ("N", order[level], at)
+             for level, at in _tree_shape(f.k, m)]
+    return OrderedDiagram(f.k, f.n, order, nodes, len(nodes) - 1, reduced=False)
 
-    def rec(depth: int) -> int:
-        if depth == len(order):
-            nodes.append(("T", f.eval(point)))
-            return len(nodes) - 1
-        var = order[depth]
-        children = []
-        for c in range(f.k):
-            point[var - 1] = c
-            children.append(rec(depth + 1))
-        point[var - 1] = 0
-        nodes.append(("N", var, tuple(children)))
-        return len(nodes) - 1
 
-    root = rec(0)
-    return OrderedDiagram(f.k, f.n, order, nodes, root, reduced=False)
+@lru_cache(maxsize=32)
+def _tree_shape(k: int, m: int) -> tuple[tuple, ...]:
+    """The complete k-ary tree of depth m in post-order: per node its depth
+    and, for an internal node, its children's indices, for a leaf its rank
+    among the leaves (the leaves run through Z_k^m with depth 0 slowest)."""
+    shape: list[tuple] = []
+    leaves = itertools.count()
+
+    def rec(level: int) -> int:
+        if level == m:
+            shape.append((m, next(leaves)))
+        else:
+            children = tuple(rec(level + 1) for _ in range(k))
+            shape.append((level, children))
+        return len(shape) - 1
+
+    rec(0)
+    return tuple(shape)
 
 
 def reduce(d: OrderedDiagram, _remove_rule: bool = True) -> OrderedDiagram:
@@ -137,25 +155,18 @@ def reduce(d: OrderedDiagram, _remove_rule: bool = True) -> OrderedDiagram:
     their parents.  `_remove_rule=False` disables the redundant-node rule;
     it exists only as a negative control for the verification suite.
     """
-    nodes: list = []
-    remap: dict[int, int] = {}
-    cache: dict = {}
-
-    for old, nd in enumerate(d.nodes):
-        if nd[0] == "T":
-            key = nd
-        else:
-            children = tuple(remap[c] for c in nd[2])
-            if _remove_rule and len(set(children)) == 1:
-                remap[old] = children[0]
+    remap: list[int] = []  # old node index -> new node index
+    cache: dict = {}       # node -> new index, in insertion order
+    for nd in d.nodes:
+        if nd[0] == "N":
+            children = tuple([remap[c] for c in nd[2]])
+            if _remove_rule and children.count(children[0]) == len(children):
+                remap.append(children[0])
                 continue
-            key = ("N", nd[1], children)
-        if key not in cache:
-            nodes.append(key)
-            cache[key] = len(nodes) - 1
-        remap[old] = cache[key]
-
-    return OrderedDiagram(d.k, d.n, d.ordering, nodes, remap[d.root], reduced=True)
+            nd = ("N", nd[1], children)
+        remap.append(cache.setdefault(nd, len(cache)))
+    return OrderedDiagram(d.k, d.n, d.ordering, tuple(cache), remap[d.root],
+                          reduced=True)
 
 
 def _require_reduced(d: OrderedDiagram) -> None:

@@ -26,20 +26,30 @@ PartialAssignment = Mapping[int, int]
 DEFAULT_MAX_CELLS = 2 ** 32
 
 
+def table_size(k: int, n: int) -> int:
+    """k^n, the cells of an n-ary table over Z_k; ValueError where no table
+    fits, before anything is allocated."""
+    if k < 2:
+        raise ValueError(f"radix k must be >= 2, got {k}")
+    if k > 256:
+        raise ValueError(f"radix k must be <= 256, got {k}: table cells are "
+                         f"bytes")
+    if n < 0:
+        raise ValueError(f"arity n must be >= 0, got {n}")
+    size = k ** n
+    if size > DEFAULT_MAX_CELLS:
+        raise ValueError(f"table of k^n = {size} cells exceeds limit "
+                         f"{DEFAULT_MAX_CELLS}")
+    return size
+
+
 class KFunction:
     """Immutable truth table of an n-ary k-valued function."""
 
     __slots__ = ("k", "n", "values", "_hash")
 
     def __init__(self, k: int, n: int, values: Iterable[int]):
-        if k < 2:
-            raise ValueError(f"radix k must be >= 2, got {k}")
-        if n < 0:
-            raise ValueError(f"arity n must be >= 0, got {n}")
-        size = k ** n
-        if size > DEFAULT_MAX_CELLS:
-            raise ValueError(f"table of k^n = {size} cells exceeds limit "
-                             f"{DEFAULT_MAX_CELLS}")
+        size = table_size(k, n)
         vals = bytes(values)
         if len(vals) != size:
             raise ValueError(f"table length {len(vals)} != k^n = {size}")

@@ -73,7 +73,8 @@ def _orbit(w: int, maps: np.ndarray, n: int = _N) -> np.ndarray:
         images = packed.astype(np.uint64) @ (
             np.uint64(1) << (np.uint64(8) * np.arange(cells // 8, dtype=np.uint64)))
         ones = np.uint64((1 << cells) - 1)
-    return np.unique(np.concatenate([images, images ^ ones]))
+    images = np.sort(np.concatenate([images, images ^ ones]))
+    return images[np.concatenate(([True], images[1:] != images[:-1]))]
 
 
 def _sep_profiles(words: np.ndarray) -> np.ndarray:
@@ -139,6 +140,16 @@ def _unpack(code: int, n: int) -> tuple[int, ...]:
     return tuple(code >> 8 * s & 0xFF for s in range(n))
 
 
+def _runs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of `code`, the order that sorts it, and the start
+    of each value's run in that order."""
+    order = np.argsort(code)
+    ordered = code[order]
+    starts = np.flatnonzero(np.concatenate(([True],
+                                            ordered[1:] != ordered[:-1])))
+    return ordered[starts], order, starts
+
+
 def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
     """{sep profile: [count, least id]} over all of P_2^n (2 <= n <= 6).
 
@@ -156,11 +167,9 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
         raise RuntimeError("orbit labels are not orbit minima")
     classes: dict[int, list[int]] = {}
     for r, weight in zip(minima.tolist(), weights.tolist()):
-        codes, inverse, counts = np.unique(_pair_profiles(cof, r, n),
-                                           return_inverse=True,
-                                           return_counts=True)
-        least = np.full(codes.size, lab.size)
-        np.minimum.at(least, inverse, lab)
+        codes, order, starts = _runs(_pair_profiles(cof, r, n))
+        counts = np.diff(starts, append=len(order))
+        least = np.minimum.reduceat(lab[order], starts)
         for code, cnt, f1 in zip(codes.tolist(), counts.tolist(),
                                  least.tolist()):
             entry = classes.setdefault(code, [0, f1])
@@ -168,7 +177,8 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
             entry[1] = min(entry[1], f1)
     out = {}
     for f1 in {f1 for _, f1 in classes.values()}:
-        codes, first = np.unique(_pair_profiles(cof, f1, n), return_index=True)
+        codes, order, starts = _runs(_pair_profiles(cof, f1, n))
+        first = np.minimum.reduceat(order, starts)
         for code, f0 in zip(codes.tolist(), first.tolist()):
             if classes[code][1] == f1:
                 out[_unpack(code, n)] = [classes[code][0], f0 | f1 << (1 << m)]

@@ -12,18 +12,24 @@ when x3 = a and 0 otherwise; a bare number is a constant of Z_k.  "+" and
 the indicator x^1 coincides with x and x^0 with the complement of x.
 
 `parse` reads the text with one regular expression, one match per factor,
-and evaluates the terms as whole tables: no loop runs over the points.
+and evaluates the terms as whole tables: each half of the variables reads
+its factor values at every cell of its half with one gather through the
+cached per-cell digits (`bitops.cell_digits`), and the two half tables'
+outer product is the term's table, so no loop runs over the points or the
+variables.  `to_sp` joins one cached indicator product per non-zero cell.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 from typing import NoReturn
 
 import numpy as np
 
-from .kfun import KFunction
+from . import bitops
+from .kfun import KFunction, table_size
 
 
 class SPSyntaxError(ValueError):
@@ -114,47 +120,63 @@ def _factor_vectors(coeffs, factors, k: int, n: int) -> np.ndarray:
     return power[counts[..., k]] * agree
 
 
+@lru_cache(maxsize=32)
+def _half_cells(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of the low variables 1..n//2, and per cell of the others,
+    the positions its digits read in a term's flattened (n, k) factor
+    vectors: (h, k^h) and (n-h, k^(n-h)), read-only."""
+    h = n // 2
+    low = np.arange(h)[:, None] * k + bitops.cell_digits(k, h)
+    high = np.arange(h, n)[:, None] * k + bitops.cell_digits(k, n - h)
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
+
+
 def parse(text: str, k: int, arity: int | None = None) -> KFunction:
     """Parse an SP expression into its truth table.
 
     The arity defaults to the largest variable index in the expression;
     passing `arity` pads with (inessential) trailing variables.  A term's
-    table is its coefficient times the outer product of its factor vectors,
-    formed in n broadcasts mod k; the terms are evaluated as whole tables,
-    `TERM_CELLS` cells at a time, and summed mod k.
+    table is the outer product of two half tables, the product of its
+    factor vectors over variables 1..n//2 and, times its coefficient, over
+    the others, each read at every cell of its half by one gather; the
+    terms are evaluated `TERM_CELLS` cells at a time and summed mod k.
+    Splitting the variables keeps the gathers at k^(n/2) cells, so a large
+    table costs one product per cell and term, not n.
     """
     coeffs, factors = _terms(text, k)
     max_index = max(factors[1::3], default=0)
     n = max_index if arity is None else arity
     if n < max_index:
         raise ValueError(f"expression uses x{max_index} but arity is {n}")
+    table_size(k, n)
 
-    vectors = _factor_vectors(coeffs, factors, k, n)
+    flat = _factor_vectors(coeffs, factors, k, n).reshape(len(coeffs), n * k)
     coeffs = np.array(coeffs, dtype=np.int64)
+    low_cells, high_cells = _half_cells(k, n)
     table = np.zeros(k ** n, dtype=np.int64)
     chunk = max(1, TERM_CELLS // k ** n)
     for lo in range(0, len(coeffs), chunk):
-        part = coeffs[lo:lo + chunk, None]
-        for i in range(n):  # variable i+1 has weight k^i: variable 1 fastest
-            part = (vectors[lo:lo + chunk, i, :, None] * part[:, None, :]
-                    ).reshape(len(part), -1) % k
-        table += part.sum(axis=0)
+        # low < k^(n//2) <= 2^16 and high < k <= 2^8, so a chunk's sum of
+        # their products stays below 2^20 * 2^24
+        low = flat[lo:lo + chunk, low_cells].prod(axis=1)
+        high = (flat[lo:lo + chunk, high_cells].prod(axis=1)
+                * coeffs[lo:lo + chunk, None] % k)
+        table += (high[:, :, None] * low[:, None, :]).sum(axis=0).ravel()
     return KFunction(k, n, (table % k).astype(np.uint8).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _monomials(k: int, n: int) -> tuple[str, ...]:
+    """Per cell, the indicator product that is 1 there and 0 elsewhere."""
+    return tuple("*".join(f"x{i}^{a}" for i, a in enumerate(cell, 1))
+                 for cell in bitops.cell_digits(k, n).T.tolist())
 
 
 def to_sp(f: KFunction) -> str:
     """Canonical full SP form: one indicator product per non-zero table entry."""
     if f.n == 0:
         return str(f.values[0])
-    terms = []
-    for idx, v in enumerate(f.values):
-        if v == 0:
-            continue
-        m = idx
-        factors = []
-        for i in range(1, f.n + 1):
-            m, a = divmod(m, f.k)
-            factors.append(f"x{i}^{a}")
-        coeff = "" if v == 1 else f"{v}*"
-        terms.append(coeff + "*".join(factors))
+    terms = [m if v == 1 else f"{v}*{m}"
+             for v, m in zip(f.values, _monomials(f.k, f.n)) if v]
     return " + ".join(terms) if terms else "0"

@@ -255,3 +255,9 @@ class TestParse:
         code, _, err = run_cli(capsys, "parse", "--expr", "5", "--k", "2")
         assert code == 2
         assert "position" in err
+
+    def test_radix_above_a_byte_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "parse", "--expr", "x1", "--k", "300")
+        assert code == 2
+        assert out == ""
+        assert "table cells are bytes" in err

@@ -34,6 +34,99 @@ IMPS_G_213 = {imp("21", "010"), imp("213", "0000"), imp("213", "0011"),
               imp("213", "1000"), imp("213", "1011"), imp("21", "111")}
 
 
+def odt_oracle(f: KFunction, order) -> dg.OrderedDiagram:
+    """The decomposition tree built point by point: one recursion step per
+    node, one `eval` per leaf."""
+    nodes = []
+    point = [0] * f.n
+
+    def rec(level: int) -> int:
+        if level == len(order):
+            nodes.append(("T", f.eval(point)))
+            return len(nodes) - 1
+        var = order[level]
+        children = []
+        for c in range(f.k):
+            point[var - 1] = c
+            children.append(rec(level + 1))
+        point[var - 1] = 0
+        nodes.append(("N", var, tuple(children)))
+        return len(nodes) - 1
+
+    root = rec(0)
+    return dg.OrderedDiagram(f.k, f.n, order, nodes, root, reduced=False)
+
+
+def reduce_oracle(d: dg.OrderedDiagram,
+                  remove_rule: bool = True) -> dg.OrderedDiagram:
+    """Merge and remove rules in one bottom-up pass over a dict remap."""
+    nodes: list = []
+    remap: dict[int, int] = {}
+    cache: dict = {}
+    for old, nd in enumerate(d.nodes):
+        if nd[0] == "T":
+            key = nd
+        else:
+            children = tuple(remap[c] for c in nd[2])
+            if remove_rule and len(set(children)) == 1:
+                remap[old] = children[0]
+                continue
+            key = ("N", nd[1], children)
+        if key not in cache:
+            nodes.append(key)
+            cache[key] = len(nodes) - 1
+        remap[old] = cache[key]
+    return dg.OrderedDiagram(d.k, d.n, d.ordering, nodes, remap[d.root],
+                             reduced=True)
+
+
+def oracle_cases():
+    """Seeded functions, each with three random orderings of {1..n} and up
+    to six of Ess(f); a third of them have x1 and x_n made inessential."""
+    import random
+    rng = random.Random(13)
+    for k, top in ((2, 5), (3, 3)):
+        for n in range(top + 1):
+            for trial in range(12):
+                f = KFunction(k, n, [rng.randrange(k) for _ in range(k ** n)])
+                if n and trial % 3 == 0:
+                    f = f.cofactor(1, rng.randrange(k)).cofactor(n, 0)
+                ess = sorted(f.essential_set())
+                orders = [tuple(rng.sample(range(1, n + 1), n))
+                          for _ in range(3)]
+                orders += list(itertools.islice(itertools.permutations(ess), 6))
+                yield f, orders
+
+
+class TestAgainstPointwiseOracles:
+    def test_build_odt_matches_recursion(self):
+        for f, orders in oracle_cases():
+            for order in orders:
+                assert dg.build_odt(f, order).canonical_key() == \
+                    odt_oracle(f, order).canonical_key()
+
+    @pytest.mark.parametrize("remove_rule", [True, False])
+    def test_reduce_matches_dict_remap(self, remove_rule):
+        for f, orders in oracle_cases():
+            for order in orders:
+                tree = odt_oracle(f, order)
+                got = dg.reduce(dg.build_odt(f, order),
+                                _remove_rule=remove_rule)
+                assert got.reduced
+                assert got.canonical_key() == \
+                    reduce_oracle(tree, remove_rule).canonical_key()
+
+    def test_orderings_of_essential_variables_only(self):
+        # x2 inessential: a tree over (3, 1) alone reads x2 = 0 and reduces
+        # to the diagram of the full ordering (3, 2, 1)
+        f = parse("x1*x3 + 2*x3^2", 3, arity=3)
+        short = dg.build_odt(f, (3, 1))
+        assert short.node_count() == 13
+        assert short.canonical_key() == odt_oracle(f, (3, 1)).canonical_key()
+        assert dg.reduce(short).nodes == \
+            dg.reduce(dg.build_odt(f, (3, 2, 1))).nodes
+
+
 class TestBuildOdt:
     def test_g_leaves_in_path_order(self):
         d = dg.build_odt(G(), (1, 2, 3))

@@ -48,6 +48,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KFunction(1, 1, [0])
 
+    def test_radix_above_a_byte(self):
+        # cells are bytes: 256 is the largest radix a table holds
+        assert KFunction(256, 1, range(256)).values[255] == 255
+        with pytest.raises(ValueError, match="table cells are bytes"):
+            KFunction(300, 1, [0] * 300)
+
 
 class TestEval:
     def test_f_point(self):

@@ -69,12 +69,44 @@ class TestParse:
         with pytest.raises(SPSyntaxError):
             parse("", 2)
 
+    def test_radix_above_a_byte(self):
+        # a cell of 300 would not fit the byte table: rejected, not wrapped
+        with pytest.raises(ValueError, match="table cells are bytes"):
+            parse("x1", 300)
+        assert parse("x1", 256).values == bytes(range(256))
+
     def test_bad_variable_index(self):
         with pytest.raises(SPSyntaxError):
             parse("x0", 2)
 
 
 class TestPrint:
+    @staticmethod
+    def reference(f: KFunction) -> str:
+        """The full SP form built cell by cell from the cell's digits."""
+        if f.n == 0:
+            return str(f.values[0])
+        terms = []
+        for cell, value in enumerate(f.values):
+            if value:
+                digits = [cell // f.k ** i % f.k for i in range(f.n)]
+                monomial = "*".join(f"x{i + 1}^{a}"
+                                    for i, a in enumerate(digits))
+                terms.append(monomial if value == 1 else f"{value}*{monomial}")
+        return " + ".join(terms) or "0"
+
+    @pytest.mark.parametrize("k,top", [(2, 5), (3, 3), (4, 2)])
+    def test_matches_cell_by_cell_reference(self, k, top):
+        import random
+        rng = random.Random(k)
+        for n in range(top + 1):
+            tables = [[0] * k ** n, [k - 1] * k ** n]
+            tables += [[rng.randrange(k) for _ in range(k ** n)]
+                       for _ in range(10)]
+            for values in tables:
+                f = KFunction(k, n, values)
+                assert to_sp(f) == self.reference(f)
+
     def test_constant_zero(self):
         assert to_sp(KFunction.constant(2, 0, 0)) == "0"
 
