@@ -5,7 +5,11 @@ nothing, so Sub(f) is exactly the set of the (k+1)^n partial-assignment
 restrictions of f.  `restrictions` builds them for a batch of uint8 tables,
 row rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
 per-function measure is read off that lattice, as are Dis(M, f), subfunction
-chains and full-depth orderings (`fixed_masks`, `descent`).
+chains and full-depth orderings (`fixed_masks`, `descent`).  The essential
+masks compare, per variable, the digit-0 and digit-1 slices of one reshaped
+view of the row keys, and `sep_counts` sums a byte table of the masks
+present over popcount-ordered columns, so neither gathers nor builds a
+one-hot matrix.
 
 A single table is also read as one little-endian Python int, 8 bits per
 cell, so the cells with x_i = c are the cells with x_i = 0 shifted up by
@@ -129,21 +133,14 @@ def key_rows(keys: np.ndarray, cells: int) -> np.ndarray:
                          bitorder="little")
 
 
-@lru_cache(maxsize=LATTICE_CACHE)
-def _fixed_to_zero(k: int, m: int) -> tuple[np.ndarray, ...]:
-    """Per digit, each lattice row with that digit fixed to 0 if it is free."""
-    index = np.arange((k + 1) ** m)
-    steps = ((k + 1) ** digit for digit in range(m))
-    return tuple(np.where(index // step % (k + 1) == 0, index + step, index)
-                 for step in steps)
-
-
 def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
     """The restriction lattice of each row of `tables` (N, k^n) uint8.
 
     Row rho has base-(k+1) digit 0 (x free) or c+1 (x = c) per listed
     variable; the others stay free, which loses nothing where they are
-    inessential.  x is essential in a row iff fixing it to 0 changes it.
+    inessential.  x is essential in a row iff fixing it to 0 changes it:
+    with the rows viewed as (N, -1, k+1, (k+1)^digit), those are the
+    digit-0 and digit-1 slices of axis 2.
     Raises MemoryError, before allocating, above `LATTICE_CELLS` cells.
     """
     variables = tuple(variables)
@@ -159,11 +156,12 @@ def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
             len(tables), -1, tables.shape[1])
     keys = row_keys(rows, k)
     masks = np.zeros(keys.shape, dtype=np.int64)
-    # one variable at a time: O(rows) memory
-    for zero, i in zip(_fixed_to_zero(k, len(variables)), variables):
-        masks |= (keys != keys[:, zero]).astype(np.int64) << i
+    # one variable at a time, O(rows) memory; axis 2 is its digit
+    for digit, i in enumerate(variables):
+        shape = (len(keys), -1, k + 1, (k + 1) ** digit)
+        key, mask = keys.reshape(shape), masks.reshape(shape)
+        mask[:, :, 0] |= (key[:, :, 0] != key[:, :, 1]).astype(np.int64) << i
     return Lattice(rows, keys, masks, variables)
-
 
 
 def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
@@ -193,12 +191,31 @@ def sub_counts(lattice: Lattice, n: int) -> np.ndarray:
     return np.bincount(slot, minlength=count * (n + 1)).reshape(count, n + 1)
 
 
+@lru_cache(maxsize=32)
+def _by_size(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the 2^n masks' position when they are ordered by popcount
+    (stable), and where each size 0..n starts in that order."""
+    sizes = np.bitwise_count(np.arange(1 << n))
+    position = np.empty(1 << n, np.int64)
+    position[np.argsort(sizes, kind="stable")] = np.arange(1 << n)
+    starts = np.searchsorted(np.sort(sizes), np.arange(n + 1))
+    position.flags.writeable = starts.flags.writeable = False
+    return position, starts
+
+
 def sep_counts(masks: np.ndarray, n: int) -> np.ndarray:
-    """(N, n): (sep_1, ..., sep_n), distinct non-empty essential sets by size."""
-    present = np.zeros((masks.shape[0], 1 << n), dtype=np.int64)
-    present[np.arange(masks.shape[0])[:, None], masks] = 1
-    sizes = np.bitwise_count(np.arange(1, 1 << n))
-    return present[:, 1:] @ (sizes[:, None] == np.arange(1, n + 1))
+    """(N, n): (sep_1, ..., sep_n), distinct non-empty essential sets by size.
+
+    Each function marks the masks present in its row of a (N, 2^n) byte
+    table whose columns run by popcount, so one `np.add.reduceat` sums
+    each size.
+    """
+    position, starts = _by_size(n)
+    present = np.zeros((len(masks), 1 << n), dtype=np.uint8)
+    cells = position[masks]
+    cells += np.arange(0, present.size, 1 << n)[:, None]  # each row's start
+    present.reshape(-1)[cells] = 1
+    return np.add.reduceat(present, starts, axis=1, dtype=np.int64)[:, 1:]
 
 
 @lru_cache(maxsize=LATTICE_CACHE)

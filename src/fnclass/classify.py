@@ -14,7 +14,9 @@ sep_m vectors.  Both degenerate to comparing essential counts at ess <= 1.
 
 All three are invariant under the genus group g (variable permutations and
 argument translations), so a whole-space scan reads one function per
-g-orbit, its least id, and weights it by the orbit's size.
+g-orbit, its least id, and weights it by the orbit's size.  A block's key
+rows are grouped by one stable lexsort (`group_rows`), and each class's
+representative text is written straight from its id (`kfun.table_texts`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import bitops
 from .diagrams import imp_count
 from .groups import (GROUP_NAMES, GroupDescriptor, orbit_minima,
                      orbit_partition)
-from .kfun import KFunction
+from .kfun import KFunction, table_texts
 from .separability import sep_vector, sub_vector
 
 RELATIONS = ("imp", "sub", "sep")
@@ -100,13 +102,15 @@ def imp_equivalent_direct(f: KFunction, g: KFunction) -> bool:
 def _key(rel: str, k: int, row: list[int]) -> tuple:
     """The class key that one row of the `_block_keys` matrix encodes."""
     low, *value = row
-    if rel == "sub" and low <= 1:
+    if rel == "sub":
+        present, value = value[:k], value[k:]
         if low == 0:
             return ("E0",)
-        return ("E1", tuple(v for v in range(k) if value[0] >> v & 1))
+        if low == 1:
+            return ("E1", tuple(v for v in range(k) if present[v]))
     if low <= 1:
         return ("E", low)
-    return ("V", value[0]) if rel == "imp" else ("V", *value)
+    return ("V", *value)
 
 
 def _extra(rel: str, counts: list[int]) -> dict:
@@ -116,12 +120,26 @@ def _extra(rel: str, counts: list[int]) -> dict:
     return {rel: sum(counts), f"{rel}_vector": counts}
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array, as each one's first index (distinct
+    rows in ascending lexicographic order), and each row's distinct-row
+    index: `np.unique(rows, axis=0)`'s index and inverse, from one stable
+    `np.lexsort` and a mask of equal neighbours."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
     """Per relation: a block's distinct keys, each key's first position,
     each function's key index and each key's `_extra` (its first
     function's profile).  Below ess 2 a key is ess (plus the range for
-    sub); from 2 up imp, the sub or sep vector, which below ess 2 only
-    depend on ess."""
+    sub, as k columns marking the values present); from 2 up imp, the sub
+    or sep vector, which below ess 2 only depend on ess (and the range)."""
     lattice = bitops.restrictions(tables, k, range(n))
     low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
     out = {}
@@ -130,15 +148,16 @@ def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
             value = counts = bitops.imp_counts(lattice, k)[:, None]
         elif rel == "sub":  # the range rule for single-variable functions
             counts = bitops.sub_counts(lattice, n)
-            rng = np.bitwise_or.reduce(np.int64(1) << tables, axis=1)
-            value = np.where(low == 1, rng[:, None], counts)
+            unary = low[:, 0] == 1
+            present = np.zeros((len(tables), k), np.int64)
+            present[np.flatnonzero(unary)[:, None], tables[unary]] = 1
+            value = np.hstack([present, counts])
         else:
             value = counts = bitops.sep_counts(lattice.masks, n)
-        uniq, first, inverse = np.unique(
-            np.hstack([low, value]), axis=0, return_index=True,
-            return_inverse=True)
-        out[rel] = ([_key(rel, k, row) for row in uniq.tolist()], first,
-                    inverse.reshape(-1),
+        rows = np.hstack([low, value])
+        first, inverse = group_rows(rows)
+        out[rel] = ([_key(rel, k, row) for row in rows[first].tolist()],
+                    first, inverse,
                     [_extra(rel, row) for row in counts[first].tolist()])
     return out
 
@@ -265,12 +284,13 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     for rel in relations:
         counts = np.zeros(len(found[rel]), np.int64)
         np.add.at(counts, cls[rel], sizes)
-        records = []
-        for key, (c, rep_id, extra) in found[rel].items():
-            records.append(ClassRecord(
-                index=c + 1, key=_key_str(key), size=int(counts[c]),
-                representative=KFunction.from_id(rep_id, k, n).table_text(),
-                extra=extra))
+        texts = table_texts([rep_id for _, rep_id, _ in found[rel].values()],
+                            k, n)
+        records = [ClassRecord(index=c + 1, key=_key_str(key),
+                               size=int(counts[c]), representative=text,
+                               extra=extra)
+                   for (key, (c, _, extra)), text in zip(found[rel].items(),
+                                                         texts)]
         assign = None if index is None else cls[rel][index]
         out[rel] = ClassificationReport(rel, k, n, size, records, assign)
     return out
@@ -298,13 +318,10 @@ def classify_space(k: int, n: int, relation: str,
         labels = orbit_partition(GroupDescriptor(relation, k, n),
                                  max_space=max_space)
         reps, counts = orbit_minima(labels)
-        records = []
-        for idx, (rep_id, cnt) in enumerate(zip(reps.tolist(),
-                                                counts.tolist())):
-            rep = KFunction.from_id(rep_id, k, n)
-            records.append(ClassRecord(
-                index=idx + 1, key=f"orbit:{rep.table_text()}", size=cnt,
-                representative=rep.table_text()))
+        records = [ClassRecord(index=idx + 1, key=f"orbit:{text}", size=cnt,
+                               representative=text)
+                   for idx, (text, cnt) in enumerate(zip(
+                       table_texts(reps.tolist(), k, n), counts.tolist()))]
         assignment = _orbit_index(labels, reps) if keep_assignment else None
         return ClassificationReport(relation, k, n, int(labels.size), records,
                                     assignment)

@@ -5,7 +5,9 @@ to table index sum a_i * k^(i-1): variable 1 is the least significant digit.
 The table read as a k-ary numeral is the function's id; for k=2 that id is
 also the packed word (bit i = entry i) behind the hex serialization.
 Cofactors and essential variables go through `bitops`' table kernel, the
-same code for every radix.
+same code for every radix.  A table's text (hex at k = 2, else its cells)
+comes from `hex_text` and `digits_text`, which `table_texts` also uses to
+write many tables straight from their ids.
 
 Restrictions (cofactors) keep the arity: fixing x_i = c yields a table of
 the same length that no longer depends on slot i.  Subfunction equality is
@@ -41,6 +43,25 @@ def table_size(k: int, n: int) -> int:
         raise ValueError(f"table of k^n = {size} cells exceeds limit "
                          f"{DEFAULT_MAX_CELLS}")
     return size
+
+
+def hex_text(word: int, n: int) -> str:
+    """A binary table's text: its word in hex, one digit per 4 cells."""
+    return format(word, f"0{max(1, ((1 << n) + 3) // 4)}x")
+
+
+def digits_text(values: Iterable[int]) -> str:
+    """A table's text for k > 2: its cells, comma-separated, cell 0 first."""
+    return ",".join(map(str, values))
+
+
+def table_texts(ids, k: int, n: int) -> list[str]:
+    """`KFunction.table_text` of each id, decoded in bulk: hex straight from
+    the id at k = 2, else the cells of one `bitops.tables_from_ids` call."""
+    if k == 2:
+        return [hex_text(ident, n) for ident in ids]
+    return [digits_text(row)
+            for row in bitops.tables_from_ids(ids, k, n).tolist()]
 
 
 class KFunction:
@@ -134,11 +155,10 @@ class KFunction:
     def to_hex(self) -> str:
         if self.k != 2:
             raise ValueError("hex form is defined for k = 2 only")
-        width = max(1, ((1 << self.n) + 3) // 4)
-        return format(self.word, f"0{width}x")
+        return hex_text(self.word, self.n)
 
     def to_digits(self) -> str:
-        return ",".join(str(v) for v in self.values)
+        return digits_text(self.values)
 
     def table_text(self) -> str:
         return self.to_hex() if self.k == 2 else self.to_digits()

@@ -7,9 +7,9 @@ import pytest
 
 from fnclass import bitops
 from fnclass.classify import (_block_keys, _key_str, class_counts,
-                              classify_space, imp_equivalent_direct, imp_key,
-                              imp_signature, refinement_check, scan_space,
-                              sep_key, sub_key)
+                              classify_space, group_rows,
+                              imp_equivalent_direct, imp_key, imp_signature,
+                              refinement_check, scan_space, sep_key, sub_key)
 from fnclass.diagrams import imp_count
 from fnclass.kfun import KFunction
 from fnclass.separability import sep_vector, sub_vector
@@ -124,6 +124,55 @@ class TestKeys:
     def test_sep_key_low_ess(self):
         assert sep_key(KFunction.constant(2, 2, 0)) != \
             sep_key(parse("x1", 2, arity=2))
+
+    @pytest.mark.parametrize("k", [65, 100, 256])
+    def test_sub_key_range_above_64_values(self, k):
+        # the range is kept as the values present, not as a 64-bit set
+        def unary(top):
+            return KFunction(k, 1, [0, top] + [0] * (k - 2))
+        assert sub_key(unary(64)) == ("E1", (0, 64))
+        assert sub_key(unary(k - 1)) == ("E1", (0, k - 1))
+        assert sub_key(KFunction(k, 1, range(k))) == ("E1", tuple(range(k)))
+
+
+class TestGroupRows:
+    """`group_rows` against `np.unique(axis=0)` as the reference."""
+
+    @staticmethod
+    def check(rows):
+        first, inverse = group_rows(rows)
+        uniq, index, inv, counts = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True,
+            return_counts=True)
+        assert np.array_equal(rows[first], uniq)
+        assert np.array_equal(first, index)
+        assert np.array_equal(inverse, inv.reshape(-1))
+        assert np.array_equal(np.bincount(inverse, minlength=len(first)),
+                              counts)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(40, 1), (40, 3), (200, 6), (7, 2)])
+    def test_seeded_rows_with_ties(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        self.check(rng.integers(0, 3, size=shape))
+
+    def test_one_row(self):
+        self.check(np.array([[4, 0, 2]]))
+
+    def test_all_equal_rows(self):
+        self.check(np.full((9, 4), 7))
+
+    def test_block_keys_group_like_unique(self):
+        # P_2^3 in one block: every relation's key index partitions the
+        # functions exactly as the unique rows of their profiles do
+        tables = bitops.tables_from_ids(np.arange(256), 2, 3)
+        for rel, (keys, first, index, _) in _block_keys(
+                tables, 2, 3, ("imp", "sub", "sep")).items():
+            assert len(set(keys)) == len(keys) == index.max() + 1
+            assert np.array_equal(index[first], np.arange(len(keys)))
+            assert [keys[i] for i in index.tolist()] == [
+                {"imp": imp_key, "sub": sub_key, "sep": sep_key}[rel](
+                    KFunction.from_id(i, 2, 3)) for i in range(256)]
 
 
 class TestClassifySpace:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnclass.kfun import KFunction, from_values
+from fnclass.kfun import KFunction, from_values, table_texts
 
 # the worked pair used across the suite, tables fixed by hand from the
 # defining expressions (index = a1 + 2*a2 + 4*a3)
@@ -187,6 +187,15 @@ class TestSerialization:
     def test_hex_too_wide(self):
         with pytest.raises(ValueError):
             KFunction.from_hex("1ff", 3)
+
+    @pytest.mark.parametrize("k,n", [(2, 0), (2, 1), (2, 3), (2, 5), (3, 1),
+                                     (3, 2), (5, 1), (7, 1)])
+    def test_bulk_texts_match_table_text(self, k, n):
+        rng = random.Random(k * 10 + n)
+        size = k ** (k ** n)
+        ids = [0, size - 1] + [rng.randrange(size) for _ in range(30)]
+        assert table_texts(ids, k, n) == [
+            KFunction.from_id(i, k, n).table_text() for i in ids]
 
 
 def _points(k, n):

@@ -5,7 +5,9 @@ f, repeatedly fix one currently-essential variable through
 `KFunction.cofactor`.  It shares no code with the kernel.
 """
 
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +96,50 @@ def test_imp_kernel_matches_enumeration(k, n, count):
     assert got.tolist() == [len(implementations(f)) for f in fns]
     for f, imp in list(zip(fns, got.tolist()))[::max(1, len(fns) // 50)]:
         assert imp_count(f) == imp, f
+
+
+def gathered_masks(keys: np.ndarray, k: int, variables) -> np.ndarray:
+    """Essential masks of a lattice's rows by gathers: per variable, each
+    row where it is free is compared with the row that fixes it to 0."""
+    index = np.arange((k + 1) ** len(variables))
+    masks = np.zeros(keys.shape, dtype=np.int64)
+    for digit, i in enumerate(variables):
+        step = (k + 1) ** digit
+        zero = np.where(index // step % (k + 1) == 0, index + step, index)
+        masks |= (keys != keys[:, zero]).astype(np.int64) << i
+    return masks
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 2)])
+def test_masks_match_the_gather_formula(k, n):
+    # seeded functions, and the same with one variable fixed (inessential)
+    fns = functions(k, n, 30)
+    fns += [f.cofactor(1 + j % n, j % k) for j, f in enumerate(fns[:10])]
+    fns.append(KFunction.constant(k, n, k - 1))
+    tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
+    for size in range(n + 1):
+        for variables in itertools.permutations(range(n), size):
+            lattice = bitops.restrictions(tables, k, variables)
+            assert np.array_equal(
+                lattice.masks, gathered_masks(lattice.keys, k, variables)), \
+                variables
+
+
+def test_sep_counts_memory_stays_near_the_masks():
+    # x1 xor x2 in P_2^20 over its 9-row lattice: one byte per mask and
+    # function, not a (2^20, 20) one-hot matrix
+    n = 20
+    cells = np.arange(1 << n)
+    table = ((cells ^ cells >> 1) & 1).astype(np.uint8)[None]
+    masks = bitops.restrictions(table, 2, (0, 1)).masks
+    tracemalloc.start()
+    try:
+        sep = bitops.sep_counts(masks, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sep.tolist() == [[2, 1] + [0] * (n - 2)]
+    assert peak < 64 << 20, f"{peak >> 20} MiB"
 
 
 def test_lattice_budget_refuses_before_allocating():

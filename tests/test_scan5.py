@@ -6,7 +6,7 @@ from fnclass.classify import classify_space
 from fnclass.groups import GroupDescriptor, orbit_partition
 from fnclass.kfun import KFunction
 from fnclass.scan5 import (GE5_ORBITS, _cofactors, _domain_maps, _orbit,
-                           _pair_profiles, _sep_join, _unpack,
+                           _pair_profiles, _sep_join, _sep_profiles, _unpack,
                            sample_sep_profiles, sep_scan_p2_5)
 from fnclass.tables import TABLE5
 
@@ -107,6 +107,18 @@ class TestSampledProfiles:
             prof = sep_profile_word(int(w), 5)
             want[prof] = want.get(prof, 0) + 1
         assert sample_sep_profiles(count=50, seed=3) == want
+
+    @pytest.mark.parametrize("count", [0, 1, 20, 3000])
+    def test_counts_match_unique_rows(self, count):
+        # np.unique(axis=0) as the reference: same counts, keys ascending
+        words = np.random.default_rng(count).integers(0, 2 ** 32, size=count,
+                                                      dtype=np.uint64)
+        profiles, counts = np.unique(_sep_profiles(words),
+                                     axis=0, return_counts=True)
+        got = sample_sep_profiles(count=count, seed=count)
+        assert list(got.items()) == [
+            (tuple(p), c) for p, c in zip(profiles.tolist(), counts.tolist())]
+        assert all(type(c) is int for c in got.values())
 
     def test_profile_kernel_agrees_with_library_route(self):
         # the direct separability oracle shares no code with the lattice
