@@ -163,8 +163,8 @@ class TestGroupRows:
         self.check(np.full((9, 4), 7))
 
     def test_block_keys_group_like_unique(self):
-        # P_2^3 in one block: every relation's key index partitions the
-        # functions exactly as the unique rows of their profiles do
+        # P_2^3 in one block: the keys are distinct, and each function's
+        # key index names the key its own single-function call gives
         tables = bitops.tables_from_ids(np.arange(256), 2, 3)
         for rel, (keys, first, index, _) in _block_keys(
                 tables, 2, 3, ("imp", "sub", "sep")).items():

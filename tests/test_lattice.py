@@ -126,8 +126,8 @@ def test_masks_match_the_gather_formula(k, n):
 
 
 def test_sep_counts_memory_stays_near_the_masks():
-    # x1 xor x2 in P_2^20 over its 9-row lattice: one byte per mask and
-    # function, not a (2^20, 20) one-hot matrix
+    # x1 xor x2 in P_2^20 over its 9-row lattice: one byte per possible
+    # mask, not a (2^20, 20) one-hot matrix
     n = 20
     cells = np.arange(1 << n)
     table = ((cells ^ cells >> 1) & 1).astype(np.uint8)[None]
