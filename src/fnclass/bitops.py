@@ -98,19 +98,6 @@ class Lattice(NamedTuple):
     variables: tuple[int, ...]  # the m varied bits, lowest digit first
 
 
-@lru_cache(maxsize=LATTICE_CACHE)
-def _zeroed(k: int, n: int) -> np.ndarray:
-    """(n, k^n): row i maps each cell to the cell with x_{i+1} := 0."""
-    return np.arange(k ** n) - cell_digits(k, n) * k ** np.arange(n)[:, None]
-
-
-def essential_masks(tables: np.ndarray, k: int, n: int) -> np.ndarray:
-    """(N,) essential-variable masks of (N, k^n) tables: bit i is set iff
-    some cell differs from the cell with x_{i+1} := 0."""
-    differs = (tables[:, _zeroed(k, n)] != tables[:, None, :]).any(axis=2)
-    return (differs.astype(np.int64) << np.arange(n)).sum(axis=1)
-
-
 def row_keys(rows: np.ndarray, k: int) -> np.ndarray:
     """One scalar per table row (last axis), ordered like the rows' ids.
 
@@ -165,7 +152,10 @@ def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
 
 
 def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
-    """(N, k^n) uint8 tables of the functions with the given ids."""
+    """(N, k^n) uint8 tables of the functions with the given ids; ValueError
+    where P_k^n has more than 2^64 functions, whose ids overflow uint64."""
+    if k ** min(k ** n, 65) > 1 << 64:  # k^65 > 2^64: capping keeps it exact
+        raise ValueError(f"ids of P_{k}^{n} do not fit in 64 bits")
     ids = np.asarray(ids, dtype=np.uint64)[:, None]
     weights = np.uint64(k) ** np.arange(k ** n, dtype=np.uint64)
     return (ids // weights % np.uint64(k)).astype(np.uint8)
@@ -299,10 +289,13 @@ def descent(lattice: Lattice, k: int, stop: np.ndarray) -> list[int] | None:
 
 @lru_cache(maxsize=LATTICE_CACHE)
 def function_lattice(f) -> Lattice:
-    """The lattice of one `KFunction` over its essential variables only."""
-    table = np.frombuffer(f.values, np.uint8)[None]
-    mask = int(essential_masks(table, f.k, f.n)[0])
-    lattice = restrictions(table, f.k, [i for i in range(f.n) if mask >> i & 1])
+    """The lattice of one `KFunction` over its essential variables only:
+    x_{i+1} is essential iff, with the table viewed as (-1, k, k^i), some
+    digit of axis 1 differs from digit 0."""
+    table = np.frombuffer(f.values, np.uint8)
+    views = [table.reshape(-1, f.k, f.k ** i) for i in range(f.n)]
+    lattice = restrictions(table[None], f.k, [
+        i for i, view in enumerate(views) if (view != view[:, :1]).any()])
     for array in lattice[:3]:  # every caller gets the same arrays
         array.flags.writeable = False
     return lattice
@@ -311,7 +304,8 @@ def function_lattice(f) -> Lattice:
 def sub_closure_word(w: int, n: int) -> dict[int, int]:
     """Sub(w) as {table word: essential mask (bit i-1 for variable i)}."""
     from .kfun import KFunction  # kfun builds on this module
-    lattice = restrictions(tables_from_ids([w], 2, n), 2, range(n))
+    table = np.frombuffer(KFunction.from_word(w, n).values, np.uint8)
+    lattice = restrictions(table[None], 2, range(n))
     keep = distinct(lattice)[0]
     return {KFunction(2, n, row).word: mask for row, mask in zip(
         lattice.tables[0][keep], lattice.masks[0][keep].tolist())}
@@ -319,5 +313,7 @@ def sub_closure_word(w: int, n: int) -> dict[int, int]:
 
 def sep_profile_word(w: int, n: int) -> tuple[int, ...]:
     """(sep_1, ..., sep_n): separable-set counts by cardinality."""
-    masks = restrictions(tables_from_ids([w], 2, n), 2, range(n)).masks
+    from .kfun import KFunction  # kfun builds on this module
+    table = np.frombuffer(KFunction.from_word(w, n).values, np.uint8)
+    masks = restrictions(table[None], 2, range(n)).masks
     return tuple(sep_counts(masks, n)[0].tolist())

@@ -29,7 +29,7 @@ import numpy as np
 from . import bitops
 from .classify import ClassRecord, ClassificationReport
 from .groups import GroupDescriptor, orbit_minima, orbit_partition
-from .kfun import KFunction
+from .kfun import table_texts
 
 _N = 5
 _SPACE = 1 << 32
@@ -192,11 +192,11 @@ def sep_scan_p2_5() -> ClassificationReport:
     records = []
     ordered = sorted(_sep_join(_N).items(),
                      key=lambda item: tuple(reversed(item[0])))
-    for idx, (prof, (cnt, rep_w)) in enumerate(ordered):
-        rep = KFunction.from_word(rep_w, _N)
+    texts = table_texts([rep for _, (_, rep) in ordered], 2, _N)
+    for idx, ((prof, (cnt, _)), rep) in enumerate(zip(ordered, texts)):
         records.append(ClassRecord(
             index=idx + 1, key="V:" + ":".join(map(str, prof)), size=cnt,
-            representative=rep.to_hex(),
+            representative=rep,
             extra={"sep": sum(prof), "sep_vector": list(prof)}))
     return ClassificationReport("sep", 2, _N, _SPACE, records)
 

@@ -5,11 +5,12 @@ randomly sampled above) and confirms one structural property: the
 separability/distributivity laws, the diagram lemmas, the depth results,
 the invariance of the complexity measures under the symmetric
 transformations, and the refinement relations between the three
-classifications.  A failing check reports the offending function table so
-the case can be replayed.
+classifications; a failing one names a function table to replay.  The
+four implementation checks read one census per function and mutant, built
+once per `run_checks` call from the ess(f)! reduced diagrams (`_census`).
 
-`mutant` deliberately corrupts one internal step (currently: skipping the
-redundant-node reduction rule) to prove the checks can fail.
+`mutant` corrupts one step (skipping the redundant-node reduction rule) to
+prove the checks can fail.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
+from typing import NamedTuple
 
 from . import diagrams as dg
 from . import separability as sp
@@ -94,11 +97,49 @@ def _reduced(f: KFunction, order, mutant: str | None):
     return dg.reduce(dg.build_odt(f, order), _remove_rule=mutant != "no-remove-rule")
 
 
+class _Census(NamedTuple):
+    """Per function and mutant, what the implementation checks compare of
+    the ess(f)! reduced diagrams; a family of sets has bit m per mask m."""
+    tail: int       # word suffixes M under an ordering that ends in M
+    suffixes: int   # suffixes of the words of Imp(f)
+    terminals: int  # mask of the words' last letters
+    imp: int        # |Imp(f)|
+
+
+def _census(f: KFunction, mutant: str | None) -> _Census:
+    imps = set()
+    tail = suffixes = terminals = 0
+    for order in itertools.permutations(sorted(f.essential_set())):
+        for imp in dg.implementations_of(_reduced(f, order, mutant)):
+            imps.add(imp)
+            got = end = 0  # masks of the word's and the ordering's suffixes
+            for i, j in zip(reversed(imp.vars), reversed(order)):
+                got, end = got | 1 << i - 1, end | 1 << j - 1
+                suffixes |= 1 << got
+                tail |= (got == end) << got
+            terminals |= 1 << imp.vars[-1] - 1 if imp.vars else 0
+    return _Census(tail, suffixes, terminals, len(imps))
+
+
+def _bitset(sets) -> int:
+    return sum({1 << sum(1 << i - 1 for i in m) for m in sets})
+
+
+def _census_check(pools, census, mutant, holds):
+    """Counts f with ess(f) <= 5 until `holds(f, census(f, mutant))` fails."""
+    checked = 0
+    for f in (f for _, _, fns in pools for f in fns if f.ess() <= 5):
+        checked += 1
+        if not holds(f, census(f, mutant)):
+            return False, checked, f.table_text()
+    return True, checked, None
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each returns (passed, checked, counterexample)
 # ---------------------------------------------------------------------------
 
-def _check_cofactor_laws(pools, mutant, rng):
+def _check_cofactor_laws(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -121,7 +162,7 @@ def _check_cofactor_laws(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_strongly_essential(pools, mutant, rng):
+def _check_strongly_essential(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -144,7 +185,7 @@ def _inseparable_sets(f: KFunction):
                 yield frozenset(m)
 
 
-def _check_distributive_union(pools, mutant, rng):
+def _check_distributive_union(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -164,7 +205,7 @@ def _check_distributive_union(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_single_fix_claim(pools, mutant, rng):
+def _check_single_fix_claim(pools, mutant, rng, census):
     """Single-variable form: fixing any s-system variable kills part of M.
 
     Holds whenever the distributive family has a singleton member covering
@@ -188,7 +229,7 @@ def _check_single_fix_claim(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_s_system_nonempty(pools, mutant, rng):
+def _check_s_system_nonempty(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -206,7 +247,7 @@ def _check_s_system_nonempty(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_transversal_characterization(pools, mutant, rng):
+def _check_transversal_characterization(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -224,7 +265,7 @@ def _check_transversal_characterization(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_hereditary_inseparability(pools, mutant, rng):
+def _check_hereditary_inseparability(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -239,7 +280,7 @@ def _check_hereditary_inseparability(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_sep_oracle(pools, mutant, rng):
+def _check_sep_oracle(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -253,7 +294,7 @@ def _check_sep_oracle(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_chains(pools, mutant, rng):
+def _check_chains(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -274,7 +315,7 @@ def _check_chains(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_label_lemma(pools, mutant, rng):
+def _check_label_lemma(pools, mutant, rng, census):
     # orderings over ALL variables: inessential ones must reduce away
     checked = 0
     for k, n, fns in pools:
@@ -290,7 +331,7 @@ def _check_label_lemma(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_reduction_soundness(pools, mutant, rng):
+def _check_reduction_soundness(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -311,7 +352,7 @@ def _check_reduction_soundness(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_tail_suffix(pools, mutant, rng):
+def _check_tail_suffix(pools, mutant, rng, census):
     """Separability by implementation suffixes under tail-respecting orderings.
 
     M is separable iff some ordering that keeps M in its final |M| positions
@@ -320,75 +361,32 @@ def _check_tail_suffix(pools, mutant, rng):
     (see _check_suffix_forward_only), because a path may skip an essential
     variable whenever its branch collapses early.
     """
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            ess = sorted(f.essential_set())
-            if len(ess) > 5:
-                continue
-            tail_suffixes = set()
-            for order in itertools.permutations(ess):
-                d = _reduced(f, order, mutant)
-                for imp in dg.implementations_of(d):
-                    for m in range(1, len(imp.vars) + 1):
-                        mset = frozenset(imp.vars[-m:])
-                        if mset == frozenset(order[-m:]):
-                            tail_suffixes.add(mset)
-            checked += 1
-            if tail_suffixes != sp.separable_sets(f):
-                return False, checked, f.table_text()
-    return True, checked, None
+    return _census_check(pools, census, mutant, lambda f, c:
+                         c.tail == _bitset(sp.separable_sets(f)))
 
 
-def _check_suffix_forward_only(pools, mutant, rng):
+def _check_suffix_forward_only(pools, mutant, rng, census):
     """Every separable set appears as some implementation suffix.
 
     Only this direction of the unrestricted suffix statement is true; the
     converse fails, e.g. table 1b (n = 3) yields the suffix {2, 3} on the
     ordering (2, 3, 1) although {2, 3} is inseparable there.
     """
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            if f.ess() > 5:
-                continue
-            suffixes = set()
-            for imp in dg.implementations(f):
-                for m in range(1, len(imp.vars) + 1):
-                    suffixes.add(frozenset(imp.vars[-m:]))
-            checked += 1
-            if not sp.separable_sets(f) <= suffixes:
-                return False, checked, f.table_text()
-    return True, checked, None
+    return _census_check(pools, census, None, lambda f, c:
+                         not _bitset(sp.separable_sets(f)) & ~c.suffixes)
 
 
-def _check_terminal_letters(pools, mutant, rng):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            if f.ess() > 5:
-                continue
-            lasts = {imp.vars[-1] for imp in dg.implementations(f) if imp.vars}
-            checked += 1
-            if lasts != f.essential_set():
-                return False, checked, f.table_text()
-    return True, checked, None
+def _check_terminal_letters(pools, mutant, rng, census):
+    return _census_check(pools, census, None, lambda f, c: c.terminals
+                         == sum(1 << i - 1 for i in f.essential_set()))
 
 
-def _check_imp_recursion(pools, mutant, rng):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            if f.ess() > 5:
-                continue
-            checked += 1
-            enum = len(dg.implementations(f))
-            if dg.imp_count(f) != enum or dg.imp_count_recursive(f) != enum:
-                return False, checked, f.table_text()
-    return True, checked, None
+def _check_imp_recursion(pools, mutant, rng, census):
+    return _census_check(pools, census, None, lambda f, c:
+                         dg.imp_count(f) == dg.imp_count_recursive(f) == c.imp)
 
 
-def _check_depth_theorems(pools, mutant, rng):
+def _check_depth_theorems(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -414,7 +412,7 @@ def _check_depth_theorems(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_output_perm_invariance(pools, mutant, rng):
+def _check_output_perm_invariance(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         perms = list(itertools.permutations(range(k)))
@@ -431,7 +429,7 @@ def _check_output_perm_invariance(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_non_bijective_breaks(pools, mutant, rng):
+def _check_non_bijective_breaks(pools, mutant, rng, census):
     # the collapsing value map sends the point-indicator function to a
     # constant, so neither measure can survive
     checked = 0
@@ -449,7 +447,7 @@ def _check_non_bijective_breaks(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_fullsym_invariance(pools, mutant, rng):
+def _check_fullsym_invariance(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         if n < 1:
@@ -473,7 +471,7 @@ def _check_fullsym_invariance(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_refinements(pools, mutant, rng):
+def _check_refinements(pools, mutant, rng, census):
     # refinements on the exhaustively scanned spaces
     checked = 0
     for k, n, fns in pools:
@@ -507,7 +505,7 @@ def _check_refinements(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_signature_oracle(pools, mutant, rng):
+def _check_signature_oracle(pools, mutant, rng, census):
     """imp_signature equality must coincide with the direct recursive search."""
     checked = 0
     for k, n, fns in pools:
@@ -530,7 +528,7 @@ def _check_signature_oracle(pools, mutant, rng):
     return True, checked, None
 
 
-def _check_profile_consistency(pools, mutant, rng):
+def _check_profile_consistency(pools, mutant, rng, census):
     checked = 0
     for k, n, fns in pools:
         for f in fns:
@@ -595,10 +593,11 @@ def run_checks(k: int = 2, n_exhaustive: int = 3, n_sampled: int = 4,
     if extra_pools:
         pools.extend(extra_pools)
     run = VerifyRun()
+    census = cache(_census)  # each (f, mutant) built once per call
     for name, fn in CHECKS:
         if names and name not in names:
             continue
-        passed, checked, cex = fn(pools, mutant, rng)
+        passed, checked, cex = fn(pools, mutant, rng, census)
         run.results.append(CheckResult(name, passed, checked, cex,
                                        note=CHECK_NOTES.get(name, "")))
     return run

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, exact tolerances.
 
 Every expected number here is pinned.  On a 2-vCPU Intel Xeon VM
-criterion 7 takes about 20 s and criterion 8 about 130 s, most of the
-tier-1 time.  Run with `pytest tests/test_acceptance.py -v` or deselect via
+criterion 7 takes about 20 to 30 s and criterion 8 about 80 to 100 s, most
+of the tier-1 time.  Run with `pytest tests/test_acceptance.py -v` or deselect via
 `-m "not acceptance"` during development.
 """
 

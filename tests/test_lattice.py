@@ -142,6 +142,39 @@ def test_sep_counts_memory_stays_near_the_masks():
     assert peak < 64 << 20, f"{peak >> 20} MiB"
 
 
+def test_cold_sep_vector_memory_stays_near_the_lattice():
+    # x1 xor x2 in P_2^20: Ess(f) comes from reshaped views of the table,
+    # with no (n, k^n) cell-index table; the lattice is 9 rows of 2^20 cells
+    n = 20
+    cells = np.arange(1 << n)
+    f = KFunction(2, n, ((cells ^ cells >> 1) & 1).astype(np.uint8).tobytes())
+    bitops.function_lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        sep = sep_vector(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sep == (2, 1) + (0,) * (n - 2)
+    assert peak < 64 << 20, f"{peak >> 20} MiB"
+
+
+def test_word_kernels_past_64_bit_ids():
+    # P_2^7 ids have 128 bits: the word kernels decode through KFunction,
+    # and tables_from_ids refuses ids that uint64 cannot hold
+    w = 1 << 70 | 6
+    f = KFunction.from_word(w, 7)
+    assert bitops.sep_profile_word(w, 7) == sep_vector(f) == \
+        (7, 21, 35, 35, 21, 7, 1)
+    assert bitops.sub_closure_word(w, 7) == {
+        g.word: mask_of(g.essential_set()) for g in subfunctions(f)}
+    for k, n in [(2, 7), (4, 3), (2, 30)]:
+        with pytest.raises(ValueError, match="64 bits"):
+            bitops.tables_from_ids([0], k, n)
+    assert bitops.tables_from_ids([(1 << 64) - 1], 2, 6).all()
+    assert bitops.tables_from_ids([3 ** 27 - 1], 3, 3).min() == 2
+
+
 def test_lattice_budget_refuses_before_allocating():
     # 4^9 rows of 3^9 cells per function, about 5 GB each
     tables = np.zeros((2, 3 ** 9), np.uint8)

@@ -1,7 +1,18 @@
+import itertools
+import random
+
 import pytest
 
+from fnclass import diagrams as dg
+from fnclass import verify
 from fnclass.kfun import KFunction
+from fnclass.spform import parse
 from fnclass.verify import EXHAUSTIVE_POOL, _function_pool, run_checks
+
+IMPLEMENTATION_CHECKS = ["separable-iff-tail-implementation-suffix",
+                         "separable-implies-implementation-suffix",
+                         "essential-terminal-letters",
+                         "imp-recursion-vs-enumeration"]
 
 
 def test_default_profile_all_pass():
@@ -55,3 +66,72 @@ def test_exhaustive_pool_limit():
     assert len(_function_pool(2, 4, 4, 0, 0)[-1][2]) == EXHAUSTIVE_POOL
     with pytest.raises(MemoryError):
         _function_pool(4, 2, 2, 0, 0)
+
+
+def family(bits: int, n: int) -> set:
+    """The variable sets whose masks are the set bits of a census int."""
+    return {frozenset(i + 1 for i in range(n) if m >> i & 1)
+            for m in range(1 << n) if bits >> m & 1}
+
+
+def census_reference(f: KFunction, mutant):
+    """The census fields straight from the diagrams: tail suffixes as the
+    tail-suffix check used to collect them, the rest from `implementations`."""
+    tail = set()
+    for order in itertools.permutations(sorted(f.essential_set())):
+        d = dg.reduce(dg.build_odt(f, order), _remove_rule=mutant is None)
+        for imp in dg.implementations_of(d):
+            for m in range(1, len(imp.vars) + 1):
+                if frozenset(imp.vars[-m:]) == frozenset(order[-m:]):
+                    tail.add(frozenset(order[-m:]))
+    imps = dg.implementations(f)
+    suffixes = {frozenset(imp.vars[-m:])
+                for imp in imps for m in range(1, len(imp.vars) + 1)}
+    return tail, suffixes, {imp.vars[-1] for imp in imps if imp.vars}, len(imps)
+
+
+def census_pool() -> list[KFunction]:
+    rng = random.Random(15)
+    fns = [KFunction.from_id(i, 2, 3) for i in range(256)]
+    fns += [KFunction.from_id(rng.randrange(1 << 16), 2, 4) for _ in range(40)]
+    fns += [KFunction.from_id(rng.randrange(3 ** 9), 3, 2) for _ in range(40)]
+    # inessential variables: fixed ones, and ones the arity adds
+    fns += [f.cofactor(1 + j % 4, j % 2) for j, f in enumerate(fns[256:276])]
+    fns += [parse("x1*x3 + x4", 2, arity=5),
+            KFunction.from_id(rng.randrange(3 ** 27), 3, 3).cofactor(2, 1)]
+    return fns
+
+
+@pytest.mark.parametrize("mutant", [None, "no-remove-rule"])
+def test_census_matches_the_diagrams(mutant):
+    for f in census_pool():
+        census = verify._census(f, mutant)
+        tail, suffixes, terminals, imp = census_reference(f, mutant)
+        assert family(census.tail, f.n) == tail, f
+        if mutant is None:  # only the tail-suffix check reads a mutant census
+            assert family(census.suffixes, f.n) == suffixes, f
+            assert census.terminals == sum(1 << i - 1 for i in terminals), f
+            assert census.imp == imp, f
+
+
+def test_mutant_reaches_the_tail_suffix_check_only():
+    run = run_checks(k=2, n_exhaustive=3, n_sampled=3, samples=0,
+                     mutant="no-remove-rule", names=IMPLEMENTATION_CHECKS)
+    assert [(r.name, r.passed, r.checked, r.counterexample)
+            for r in run.results] == [
+        ("separable-iff-tail-implementation-suffix", False, 50, "1b"),
+        ("separable-implies-implementation-suffix", True, 278, None),
+        ("essential-terminal-letters", True, 278, None),
+        ("imp-recursion-vs-enumeration", True, 278, None)]
+
+
+@pytest.mark.parametrize("mutant", [None, "no-remove-rule"])
+def test_census_built_once_per_function_and_mutant(monkeypatch, mutant):
+    built = []
+    census = verify._census
+    monkeypatch.setattr(verify, "_census",
+                        lambda f, m: built.append((f, m)) or census(f, m))
+    run_checks(k=2, n_exhaustive=2, n_sampled=3, samples=30, seed=0,
+               mutant=mutant, names=IMPLEMENTATION_CHECKS)
+    assert built and len(built) == len(set(built))
+    assert {m for _, m in built} == {None, mutant}
