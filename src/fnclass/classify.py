@@ -30,7 +30,7 @@ from . import bitops
 from .diagrams import imp_count
 from .groups import (GROUP_NAMES, GroupDescriptor, orbit_minima,
                      orbit_partition)
-from .kfun import KFunction, table_texts
+from .kfun import KFunction, space_size, table_texts
 from .separability import sep_vector, sub_vector
 
 RELATIONS = ("imp", "sub", "sep")
@@ -258,9 +258,10 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     k > 2 an output translation changes a unary function's range, which
     is part of its sub key.
     """
-    size = k ** (k ** n)
-    if size > max_space:
-        raise MemoryError(f"space of {size} functions exceeds budget {max_space}")
+    size = space_size(k, n, max_space)
+    if size is None:
+        raise MemoryError(f"P_{k}^{n} has more functions than the scan budget "
+                          f"{max_space}")
     relations = tuple(relations)
     lab = orbit_partition(GroupDescriptor("g", k, n), max_space=max_space)
     minima, sizes = orbit_minima(lab)
@@ -306,7 +307,7 @@ def classify_space(k: int, n: int, relation: str,
     all 2^16 functions of P_2^4, so `max_space` must admit those.
     """
     if (k, n, relation) == (2, 5, "sep") and not keep_assignment:
-        if 1 << 16 > max_space:
+        if space_size(2, 4, max_space) is None:
             raise MemoryError(f"the P_2^5 sep join scans the {1 << 16} "
                               f"functions of P_2^4, over budget {max_space}")
         from .scan5 import sep_scan_p2_5

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import bitops
-from .kfun import KFunction
+from .kfun import KFunction, space_size
 
 
 class OrbitBudgetError(RuntimeError):
@@ -46,26 +46,22 @@ class OrbitBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# points of the domain
+# points of the domain, as columns of `bitops.cell_digits`
 # ---------------------------------------------------------------------------
 
-def _points(k: int, n: int) -> list[tuple[int, ...]]:
-    pts = []
-    for idx in range(k ** n):
-        m = idx
-        p = []
-        for _ in range(n):
-            m, d = divmod(m, k)
-            p.append(d)
-        pts.append(tuple(p))
-    return pts
+def _cells(points: np.ndarray, k: int) -> list[int]:
+    """The cell of each column of an (n, cells) array of digits."""
+    return (k ** np.arange(len(points)) @ points).tolist()
 
 
-def _point_index(p, k: int) -> int:
-    idx = 0
-    for a in reversed(p):
-        idx = idx * k + a
-    return idx
+def _column(v, n: int) -> np.ndarray:
+    """A length-n vector as an (n, 1) column, to add to every point."""
+    return np.array(v, np.int64).reshape(n, 1)
+
+
+def _offset_maps(offsets: np.ndarray, k: int) -> list[list[int]]:
+    """Per cell, the output map v -> v + offset mod k."""
+    return ((np.arange(k) + offsets.reshape(-1, 1)) % k).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +128,7 @@ def var_perm(k: int, n: int, pi: Iterable[int]) -> Transformation:
     p = tuple(pi)
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"{p} is not a permutation of 1..{n}")
-    pts = _points(k, n)
-    dom = [_point_index(tuple(pt[p[i] - 1] for i in range(n)), k) for pt in pts]
+    dom = _cells(bitops.cell_digits(k, n)[[i - 1 for i in p]], k)
     return _uniform(k, n, dom, range(k), f"perm{p}")
 
 
@@ -142,8 +137,7 @@ def arg_translate(k: int, n: int, c: Iterable[int]) -> Transformation:
     cv = tuple(c)
     if len(cv) != n or any(not 0 <= x < k for x in cv):
         raise ValueError(f"translation vector {cv} is not in Z_{k}^{n}")
-    pts = _points(k, n)
-    dom = [_point_index(tuple((a + b) % k for a, b in zip(pt, cv)), k) for pt in pts]
+    dom = _cells((bitops.cell_digits(k, n) + _column(cv, n)) % k, k)
     return _uniform(k, n, dom, range(k), f"xlate{cv}")
 
 
@@ -156,9 +150,9 @@ def var_perm_value_maps(k: int, n: int, pi: Iterable[int],
     sig = [tuple(s) for s in sigmas]
     if len(sig) != n or any(sorted(s) != list(range(k)) for s in sig):
         raise ValueError("each value map must be a permutation of Z_k")
-    pts = _points(k, n)
-    dom = [_point_index(tuple(sig[i][pt[p[i] - 1]] for i in range(n)), k)
-           for pt in pts]
+    digits = bitops.cell_digits(k, n)[[i - 1 for i in p]]
+    dom = _cells(np.take_along_axis(np.array(sig, np.int64).reshape(n, k),
+                                    digits, axis=1), k)
     return _uniform(k, n, dom, range(k), "permvals")
 
 
@@ -181,12 +175,9 @@ def add_linear(k: int, n: int, a: Iterable[int]) -> Transformation:
     av = tuple(a)
     if len(av) != n or any(not 0 <= x < k for x in av):
         raise ValueError(f"coefficient vector {av} is not in Z_{k}^{n}")
-    pts = _points(k, n)
-    outs = []
-    for pt in pts:
-        off = sum(ai * xi for ai, xi in zip(av, pt)) % k
-        outs.append(tuple((v + off) % k for v in range(k)))
-    return Transformation(k, n, range(k ** n), outs, f"lin{av}")
+    offsets = _column(av, n).T @ bitops.cell_digits(k, n)
+    return Transformation(k, n, range(k ** n), _offset_maps(offsets, k),
+                          f"lin{av}")
 
 
 def _is_prime(k: int) -> bool:
@@ -222,16 +213,11 @@ def affine(k: int, n: int, mat, c: Iterable[int], a: Iterable[int],
     cv, av = tuple(c), tuple(a)
     if not 0 <= d < k:
         raise ValueError(f"offset {d} out of range for Z_{k}")
-    pts = _points(k, n)
-    dom = []
-    outs = []
-    for pt in pts:
-        img = tuple((sum(pt[i] * rows[i][j] for i in range(n)) + cv[j]) % k
-                    for j in range(n))
-        dom.append(_point_index(img, k))
-        off = (sum(ai * xi for ai, xi in zip(av, pt)) + d) % k
-        outs.append(tuple((v + off) % k for v in range(k)))
-    return Transformation(k, n, dom, outs, "affine")
+    digits = bitops.cell_digits(k, n)
+    image = np.array(rows, np.int64).reshape(n, n).T @ digits + _column(cv, n)
+    offsets = _column(av, n).T @ digits + d
+    return Transformation(k, n, _cells(image % k, k),
+                          _offset_maps(offsets, k), "affine")
 
 
 def output_image(f: KFunction, sigma: Iterable[int]) -> KFunction:
@@ -368,6 +354,34 @@ def group_elements(gd: GroupDescriptor) -> Iterator[Transformation]:
                 base = var_perm_value_maps(k, n, p, sigs)
                 for so in value_perms:
                     yield output_map(k, n, so) @ base
+
+
+def _nth_permutation(items, rank: int) -> tuple[int, ...]:
+    """The permutation of the ascending `items` at `rank` in
+    `itertools.permutations`' (lexicographic) order."""
+    pool, out = list(items), []
+    for left in range(len(pool) - 1, -1, -1):
+        j, rank = divmod(rank, _factorial(left))
+        out.append(pool.pop(j))
+    return tuple(out)
+
+
+def fullsym_element(k: int, n: int, index: int) -> Transformation:
+    """Element `index` of fullsym on P_k^n in `group_elements`' order, built
+    alone: the index reads as (variable permutation, n value permutations,
+    output permutation), each a lexicographic rank, the first most
+    significant, so sampling indices samples the group without listing it.
+    """
+    if not 0 <= index < GroupDescriptor("fullsym", k, n).order():
+        raise ValueError(f"fullsym on P_{k}^{n} has no element {index}")
+    ranks = []
+    for _ in range(n + 1):
+        index, rank = divmod(index, _factorial(k))
+        ranks.append(rank)
+    out, *sigs = (_nth_permutation(range(k), r) for r in ranks)
+    base = var_perm_value_maps(k, n, _nth_permutation(range(1, n + 1), index),
+                               sigs[::-1])
+    return output_map(k, n, out) @ base
 
 
 def group_generators(gd: GroupDescriptor) -> list[Transformation]:
@@ -580,7 +594,7 @@ def orbit_keys(f: KFunction, gd: GroupDescriptor,
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
-    bfs = _id_bfs if gd.k ** gd.k ** gd.n <= ID_SPACE else _row_bfs
+    bfs = _id_bfs if space_size(gd.k, gd.n, ID_SPACE) else _row_bfs
     return bfs(f, gd, max_orbit)
 
 
@@ -614,10 +628,10 @@ def orbit_partition(gd: GroupDescriptor,
     permutation and than indexing with int32.  A round allocates no array
     of the space's size: every gather writes into a preallocated one.
     """
-    size = gd.k ** (gd.k ** gd.n)
-    if size > max_space:
-        raise OrbitBudgetError(
-            f"space of {size} functions exceeds the scan budget {max_space}")
+    size = space_size(gd.k, gd.n, max_space)
+    if size is None:
+        raise OrbitBudgetError(f"P_{gd.k}^{gd.n} has more functions than the "
+                               f"scan budget {max_space}")
     parts = _id_action(gd)
     lab = np.arange(size, dtype=np.intp)
     spare, perm, before = (np.empty_like(lab) for _ in range(3))

@@ -28,9 +28,7 @@ PartialAssignment = Mapping[int, int]
 DEFAULT_MAX_CELLS = 2 ** 32
 
 
-def table_size(k: int, n: int) -> int:
-    """k^n, the cells of an n-ary table over Z_k; ValueError where no table
-    fits, before anything is allocated."""
+def _check_space(k: int, n: int) -> None:
     if k < 2:
         raise ValueError(f"radix k must be >= 2, got {k}")
     if k > 256:
@@ -38,11 +36,30 @@ def table_size(k: int, n: int) -> int:
                          f"bytes")
     if n < 0:
         raise ValueError(f"arity n must be >= 0, got {n}")
+
+
+def table_size(k: int, n: int) -> int:
+    """k^n, the cells of an n-ary table over Z_k; ValueError where no table
+    fits, before anything is allocated."""
+    _check_space(k, n)
     size = k ** n
     if size > DEFAULT_MAX_CELLS:
         raise ValueError(f"table of k^n = {size} cells exceeds limit "
                          f"{DEFAULT_MAX_CELLS}")
     return size
+
+
+def space_size(k: int, n: int, limit: int) -> int | None:
+    """k^(k^n), the functions of P_k^n, or None where that exceeds `limit`;
+    ValueError, as from `table_size`, for a radix or arity no table takes.
+
+    Exact without writing out a huge power: capping both exponents at
+    limit's bit length c changes nothing below the limit, and k^c > limit.
+    """
+    _check_space(k, n)
+    cap = limit.bit_length()
+    size = k ** min(k ** min(n, cap), cap)
+    return size if size <= limit else None
 
 
 def hex_text(word: int, n: int) -> str:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bitops
-from .classify import ClassRecord, ClassificationReport
+from .classify import ClassRecord, ClassificationReport, _extra, _key_str
 from .groups import GroupDescriptor, orbit_minima, orbit_partition
 from .kfun import table_texts
 
@@ -195,9 +195,8 @@ def sep_scan_p2_5() -> ClassificationReport:
     texts = table_texts([rep for _, (_, rep) in ordered], 2, _N)
     for idx, ((prof, (cnt, _)), rep) in enumerate(zip(ordered, texts)):
         records.append(ClassRecord(
-            index=idx + 1, key="V:" + ":".join(map(str, prof)), size=cnt,
-            representative=rep,
-            extra={"sep": sum(prof), "sep_vector": list(prof)}))
+            index=idx + 1, key=_key_str(("V", *prof)), size=cnt,
+            representative=rep, extra=_extra("sep", list(prof))))
     return ClassificationReport("sep", 2, _N, _SPACE, records)
 
 

@@ -5,9 +5,14 @@ randomly sampled above) and confirms one structural property: the
 separability/distributivity laws, the diagram lemmas, the depth results,
 the invariance of the complexity measures under the symmetric
 transformations, and the refinement relations between the three
-classifications; a failing one names a function table to replay.  The
-four implementation checks read one census per function and mutant, built
+classifications.  A per-function check is a generator `cases(k, n, f)`
+that yields one result per case; `_sweep` alone walks the pools, counts
+the cases and stops at the first result that is not True, naming that
+function's table (or the text the case yielded) to replay.  The four
+implementation checks read one census per function and mutant, built
 once per `run_checks` call from the ess(f)! reduced diagrams (`_census`).
+The checks that compare whole spaces or fixed witnesses count their own
+cases.
 
 `mutant` corrupts one step (skipping the redundant-node reduction rule) to
 prove the checks can fail.
@@ -22,11 +27,12 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
+from . import bitops
 from . import diagrams as dg
 from . import separability as sp
 from .classify import imp_equivalent_direct, imp_signature, scan_space, refinement_check
-from .groups import GroupDescriptor, group_elements, output_image
-from .kfun import KFunction
+from .groups import GroupDescriptor, fullsym_element, output_image
+from .kfun import KFunction, space_size
 from .spform import parse
 
 MUTANTS = ("no-remove-rule",)
@@ -80,8 +86,7 @@ def _sampled(k: int, n: int, count: int, rng: random.Random):
 def _function_pool(k: int, n_exhaustive: int, n_sampled: int, samples: int,
                    seed: int):
     """(k, n, iterator) triples covering the requested sweep."""
-    # k^64 > 2^16, so capping the exponent keeps the test exact and cheap
-    if k ** min(k ** n_exhaustive, 64) > EXHAUSTIVE_POOL:
+    if space_size(k, n_exhaustive, EXHAUSTIVE_POOL) is None:
         raise MemoryError(f"exhaustive sweep of P_{k}^{n_exhaustive} exceeds "
                           f"the pool limit of {EXHAUSTIVE_POOL} functions")
     rng = random.Random(seed)
@@ -91,6 +96,29 @@ def _function_pool(k: int, n_exhaustive: int, n_sampled: int, samples: int,
     for n in range(n_exhaustive + 1, n_sampled + 1):
         pools.append((k, n, list(_sampled(k, n, samples, rng))))
     return pools
+
+
+def _sweep(pools, cases, keep=lambda f: True):
+    """(passed, checked, counterexample) of one per-function check.
+
+    Every f of the pools that `keep` admits is checked by the generator
+    `cases(k, n, f)`, one yielded result per case.  The first result that
+    is not True stops the sweep; the counterexample is that result where it
+    is a text, else f's table.
+    """
+    checked = 0
+    for k, n, fns in pools:
+        for f in filter(keep, fns):
+            for result in cases(k, n, f):
+                checked += 1
+                if result is not True:
+                    return False, checked, (result if isinstance(result, str)
+                                            else f.table_text())
+    return True, checked, None
+
+
+def _at_most_five(f: KFunction) -> bool:
+    return f.ess() <= 5
 
 
 def _reduced(f: KFunction, order, mutant: str | None):
@@ -126,54 +154,9 @@ def _bitset(sets) -> int:
 
 
 def _census_check(pools, census, mutant, holds):
-    """Counts f with ess(f) <= 5 until `holds(f, census(f, mutant))` fails."""
-    checked = 0
-    for f in (f for _, _, fns in pools for f in fns if f.ess() <= 5):
-        checked += 1
-        if not holds(f, census(f, mutant)):
-            return False, checked, f.table_text()
-    return True, checked, None
-
-
-# ---------------------------------------------------------------------------
-# individual checks; each returns (passed, checked, counterexample)
-# ---------------------------------------------------------------------------
-
-def _check_cofactor_laws(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            for i in range(1, n + 1):
-                for c in range(k):
-                    g = f.cofactor(i, c)
-                    checked += 1
-                    if g.cofactor(i, c) != g or g.is_essential(i):
-                        return False, checked, f.table_text()
-                    if not g.essential_set() <= f.essential_set() - {i}:
-                        return False, checked, f.table_text()
-            ess = f.essential_set()
-            for i in sorted(ess)[:2]:
-                for j in sorted(ess - {i})[:1]:
-                    a = f.cofactor(i, 0).cofactor(j, 1)
-                    b = f.cofactor(j, 1).cofactor(i, 0)
-                    checked += 1
-                    if a != b:
-                        return False, checked, f.table_text()
-    return True, checked, None
-
-
-def _check_strongly_essential(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            m = f.ess()
-            strong = f.strongly_essential_set()
-            checked += 1
-            if m >= 1 and not strong:
-                return False, checked, f.table_text()
-            if m >= 2 and len(strong) < 2:
-                return False, checked, f.table_text()
-    return True, checked, None
+    """One case per f with ess(f) <= 5: `holds(f, census(f, mutant))`."""
+    return _sweep(pools, lambda k, n, f: (holds(f, census(f, mutant)),),
+                  keep=_at_most_five)
 
 
 def _inseparable_sets(f: KFunction):
@@ -185,24 +168,58 @@ def _inseparable_sets(f: KFunction):
                 yield frozenset(m)
 
 
+def _s_system_sweep(pools, rng, holds):
+    """Both s-system checks: `holds(Dis(M, f))` for every inseparable M of
+    each f, then `holds` on 200 random families of subsets of x1..x6.  The
+    families are drawn lazily, as a pool with k = 0, so a failure stops
+    the draws."""
+    def cases(k, n, f):
+        if not k:  # f is a family
+            yield holds(f) or str(f)
+            return
+        for m in _inseparable_sets(f):
+            yield holds(sp.distributive_sets(m, f))
+    families = ([frozenset(rng.sample(range(1, 7), rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 4))] for _ in range(200))
+    return _sweep([*pools, (0, 0, families)], cases)
+
+
+# ---------------------------------------------------------------------------
+# individual checks; each returns (passed, checked, counterexample)
+# ---------------------------------------------------------------------------
+
+def _check_cofactor_laws(pools, mutant, rng, census):
+    def cases(k, n, f):
+        ess = f.essential_set()
+        for i in range(1, n + 1):
+            for c in range(k):
+                g = f.cofactor(i, c)
+                yield (g.cofactor(i, c) == g and not g.is_essential(i)
+                       and g.essential_set() <= ess - {i})
+        for i in sorted(ess)[:2]:
+            for j in sorted(ess - {i})[:1]:
+                yield (f.cofactor(i, 0).cofactor(j, 1)
+                       == f.cofactor(j, 1).cofactor(i, 0))
+    return _sweep(pools, cases)
+
+
+def _check_strongly_essential(pools, mutant, rng, census):
+    return _sweep(pools, lambda k, n, f: (
+        len(f.strongly_essential_set()) >= min(f.ess(), 2),))
+
+
 def _check_distributive_union(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            seps = sp.separable_sets(f)
-            for m in _inseparable_sets(f):
-                dis = sp.distributive_sets(m, f)
-                if not dis:
-                    return False, checked, f.table_text()
-                for beta in sp.s_systems(dis):
-                    checked += 1
-                    if m | beta not in seps:
-                        return False, checked, f.table_text()
-                    for r in range(len(beta)):
-                        for alpha in itertools.combinations(sorted(beta), r):
-                            if m | frozenset(alpha) in seps:
-                                return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        seps = sp.separable_sets(f)
+        for m in _inseparable_sets(f):
+            dis = sp.distributive_sets(m, f)
+            if not dis:
+                yield False
+            for beta in sp.s_systems(dis):
+                yield m | beta in seps and not any(
+                    m | frozenset(alpha) in seps for r in range(len(beta))
+                    for alpha in itertools.combinations(sorted(beta), r))
+    return _sweep(pools, cases)
 
 
 def _check_single_fix_claim(pools, mutant, rng, census):
@@ -214,142 +231,79 @@ def _check_single_fix_claim(pools, mutant, rng, census):
     is {3, 4}, and fixing x3 = 1 keeps all of M essential.  Kept as an
     honest check; the shallow-ordering construction does not rely on it.
     """
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            for m in _inseparable_sets(f):
-                dis = sp.distributive_sets(m, f)
-                for beta in sp.s_systems(dis):
-                    for i in beta:
-                        for c in range(k):
-                            checked += 1
-                            if m <= f.cofactor(i, c).essential_set():
-                                return False, checked, \
-                                    f"{f.table_text()} M={sorted(m)} x{i}={c}"
-    return True, checked, None
+    def cases(k, n, f):
+        for m in _inseparable_sets(f):
+            for beta in sp.s_systems(sp.distributive_sets(m, f)):
+                for i in beta:
+                    for c in range(k):
+                        yield (not m <= f.cofactor(i, c).essential_set()
+                               or f"{f.table_text()} M={sorted(m)} x{i}={c}")
+    return _sweep(pools, cases)
 
 
 def _check_s_system_nonempty(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            for m in _inseparable_sets(f):
-                checked += 1
-                if not sp.s_systems(sp.distributive_sets(m, f)):
-                    return False, checked, f.table_text()
-    # random families too
-    for _ in range(200):
-        fam = [frozenset(rng.sample(range(1, 7), rng.randint(1, 3)))
-               for _ in range(rng.randint(1, 4))]
-        checked += 1
-        if not sp.s_systems(fam):
-            return False, checked, str(fam)
-    return True, checked, None
+    return _s_system_sweep(pools, rng, lambda fam: bool(sp.s_systems(fam)))
 
 
 def _check_transversal_characterization(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            for m in _inseparable_sets(f):
-                dis = sp.distributive_sets(m, f)
-                checked += 1
-                if sp.s_systems(dis) != sp.minimal_transversals(dis):
-                    return False, checked, f.table_text()
-    for _ in range(200):
-        fam = [frozenset(rng.sample(range(1, 7), rng.randint(1, 3)))
-               for _ in range(rng.randint(1, 4))]
-        checked += 1
-        if sp.s_systems(fam) != sp.minimal_transversals(fam):
-            return False, checked, str(fam)
-    return True, checked, None
+    return _s_system_sweep(pools, rng, lambda fam:
+                           sp.s_systems(fam) == sp.minimal_transversals(fam))
 
 
 def _check_hereditary_inseparability(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            seps = sp.separable_sets(f)
-            subs = sp.subfunctions(f)
-            for m in _inseparable_sets(f):
-                for g in subs:
-                    if m <= g.essential_set():
-                        checked += 1
-                        if m in sp.separable_sets(g):
-                            return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        subs = sp.subfunctions(f)
+        for m in _inseparable_sets(f):
+            for g in subs:
+                if m <= g.essential_set():
+                    yield m not in sp.separable_sets(g)
+    return _sweep(pools, cases)
 
 
 def _check_sep_oracle(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            ess = f.essential_set()
-            seps = sp.separable_sets(f)
-            for size in range(1, len(ess) + 1):
-                for m in itertools.combinations(sorted(ess), size):
-                    checked += 1
-                    if sp.is_separable(f, m) != (frozenset(m) in seps):
-                        return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        ess, seps = sorted(f.essential_set()), sp.separable_sets(f)
+        for size in range(1, len(ess) + 1):
+            for m in itertools.combinations(ess, size):
+                yield sp.is_separable(f, m) == (frozenset(m) in seps)
+    return _sweep(pools, cases)
 
 
 def _check_chains(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            subs = list(sp.subfunctions(f))
-            picks = subs if len(subs) <= 6 else rng.sample(subs, 6)
-            for g in picks:
-                chain = sp.subfunction_chain(f, g)
-                checked += 1
-                if chain[0] != g or chain[-1] != f:
-                    return False, checked, f.table_text()
-                for lo, hi in zip(chain, chain[1:]):
-                    if hi.ess() != lo.ess() + 1:
-                        return False, checked, f.table_text()
-                    # one step: a cofactor of hi on one essential variable
-                    if not any(lo == hi.cofactor(x, c)
-                               for x in hi.essential_set() for c in range(k)):
-                        return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        subs = list(sp.subfunctions(f))
+        for g in subs if len(subs) <= 6 else rng.sample(subs, 6):
+            chain = sp.subfunction_chain(f, g)
+            # each link one step: a cofactor of hi on one essential variable
+            yield chain[0] == g and chain[-1] == f and all(
+                hi.ess() == lo.ess() + 1
+                and any(lo == hi.cofactor(x, c)
+                        for x in hi.essential_set() for c in range(k))
+                for lo, hi in zip(chain, chain[1:]))
+    return _sweep(pools, cases)
 
 
 def _check_label_lemma(pools, mutant, rng, census):
     # orderings over ALL variables: inessential ones must reduce away
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            ess = f.essential_set()
-            orders = list(itertools.permutations(range(1, n + 1)))
-            if len(orders) > 6:
-                orders = rng.sample(orders, 6)
-            for order in orders:
-                checked += 1
-                if dg.diagram_labels(_reduced(f, order, mutant)) != ess:
-                    return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        ess = f.essential_set()
+        orders = list(itertools.permutations(range(1, n + 1)))
+        for order in orders if len(orders) <= 6 else rng.sample(orders, 6):
+            yield dg.diagram_labels(_reduced(f, order, mutant)) == ess
+    return _sweep(pools, cases)
 
 
 def _check_reduction_soundness(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            ess = sorted(f.essential_set())
-            d = _reduced(f, ess, mutant)
-            for ident in range(min(len(f.values), k ** n)):
-                m = ident
-                point = []
-                for _ in range(n):
-                    m, digit = divmod(m, k)
-                    point.append(digit)
-                checked += 1
-                if d.eval(point) != f.eval(point):
-                    return False, checked, f.table_text()
-            # canonical determinism
-            if _reduced(f, ess, mutant).canonical_key() != d.canonical_key():
-                return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        ess = sorted(f.essential_set())
+        d = _reduced(f, ess, mutant)
+        *points, last = bitops.cell_digits(k, n).T.tolist()
+        for point in points:
+            yield d.eval(point) == f.eval(point)
+        # the last point's case also checks canonical determinism
+        yield d.eval(last) == f.eval(last) and \
+            _reduced(f, ess, mutant).canonical_key() == d.canonical_key()
+    return _sweep(pools, cases)
 
 
 def _check_tail_suffix(pools, mutant, rng, census):
@@ -387,46 +341,29 @@ def _check_imp_recursion(pools, mutant, rng, census):
 
 
 def _check_depth_theorems(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            ess = f.essential_set()
-            # depth bound over a few orderings
-            orders = list(itertools.permutations(sorted(ess)))
-            if len(orders) > 4:
-                orders = rng.sample(orders, 4)
-            for order in orders:
-                checked += 1
-                if dg.depth(_reduced(f, order, mutant)) > len(ess) + 1:
-                    return False, checked, f.table_text()
-            if ess:
-                order = dg.find_full_depth_ordering(f)
-                checked += 1
-                if dg.depth(_reduced(f, order, mutant)) != len(ess) + 1:
-                    return False, checked, f.table_text()
-            for m in _inseparable_sets(f):
-                order = dg.find_shallow_ordering(f, m)
-                checked += 1
-                if dg.depth(_reduced(f, order, mutant)) >= len(ess) + 1:
-                    return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        ess = f.essential_set()
+        full = len(ess) + 1
+        # depth bound over a few orderings
+        orders = list(itertools.permutations(sorted(ess)))
+        for order in orders if len(orders) <= 4 else rng.sample(orders, 4):
+            yield dg.depth(_reduced(f, order, mutant)) <= full
+        if ess:
+            order = dg.find_full_depth_ordering(f)
+            yield dg.depth(_reduced(f, order, mutant)) == full
+        for m in _inseparable_sets(f):
+            order = dg.find_shallow_ordering(f, m)
+            yield dg.depth(_reduced(f, order, mutant)) < full
+    return _sweep(pools, cases)
 
 
 def _check_output_perm_invariance(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        perms = list(itertools.permutations(range(k)))
-        for f in fns:
-            if f.ess() > 5:
-                continue
-            base_imp = dg.imp_count(f)
-            base_sub = sp.sub_vector(f)
-            for sigma in perms:
-                g = output_image(f, sigma)
-                checked += 1
-                if dg.imp_count(g) != base_imp or sp.sub_vector(g) != base_sub:
-                    return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        base = dg.imp_count(f), sp.sub_vector(f)
+        for sigma in itertools.permutations(range(k)):
+            g = output_image(f, sigma)
+            yield (dg.imp_count(g), sp.sub_vector(g)) == base
+    return _sweep(pools, cases, keep=_at_most_five)
 
 
 def _check_non_bijective_breaks(pools, mutant, rng, census):
@@ -448,36 +385,32 @@ def _check_non_bijective_breaks(pools, mutant, rng, census):
 
 
 def _check_fullsym_invariance(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        if n < 1:
-            continue
-        elements = list(group_elements(GroupDescriptor("fullsym", k, n)))
-        if len(elements) > 48:
-            elements = rng.sample(elements, 48)
-        picks = fns if len(fns) <= 220 else rng.sample(fns, 220)
-        for f in picks:
-            if f.ess() > 5:
-                continue
-            base = (dg.imp_count(f), sp.sub_vector(f), sp.sep_vector(f))
-            sig = imp_signature(f)
-            for t in elements:
-                g = t.apply(f)
-                checked += 1
-                if (dg.imp_count(g), sp.sub_vector(g), sp.sep_vector(g)) != base:
-                    return False, checked, f.table_text()
-                if imp_signature(g) != sig:
-                    return False, checked, f.table_text()
-    return True, checked, None
+    elements = {}  # per space: 48 group elements, drawn before its functions
+
+    def spaces():
+        for k, n, fns in pools:
+            if n >= 1:
+                ids = range(GroupDescriptor("fullsym", k, n).order())
+                picks = ids if len(ids) <= 48 else rng.sample(ids, 48)
+                elements[k, n] = [fullsym_element(k, n, i) for i in picks]
+                yield k, n, fns if len(fns) <= 220 else rng.sample(fns, 220)
+
+    def measures(f):
+        return (dg.imp_count(f), sp.sub_vector(f), sp.sep_vector(f),
+                imp_signature(f))
+
+    def cases(k, n, f):
+        base = measures(f)
+        for t in elements[k, n]:
+            yield measures(t.apply(f)) == base
+    return _sweep(spaces(), cases, keep=_at_most_five)
 
 
 def _check_refinements(pools, mutant, rng, census):
     # refinements on the exhaustively scanned spaces
     checked = 0
     for k, n, fns in pools:
-        if n < 2 or len(fns) != k ** (k ** n):
-            continue
-        if k ** (k ** n) > 1 << 16:
+        if n < 2 or len(fns) != space_size(k, n, EXHAUSTIVE_POOL):
             continue
         reports = scan_space(k, n, ("imp", "sub", "sep"), keep_assignment=True)
         checked += 2
@@ -509,7 +442,8 @@ def _check_signature_oracle(pools, mutant, rng, census):
     """imp_signature equality must coincide with the direct recursive search."""
     checked = 0
     for k, n, fns in pools:
-        if n < 2 or n > 3 or len(fns) != k ** (k ** n) or k != 2:
+        if k != 2 or not 2 <= n <= 3 or \
+                len(fns) != space_size(k, n, EXHAUSTIVE_POOL):
             continue
         groups: dict[bytes, list[KFunction]] = {}
         for f in fns:
@@ -529,22 +463,12 @@ def _check_signature_oracle(pools, mutant, rng, census):
 
 
 def _check_profile_consistency(pools, mutant, rng, census):
-    checked = 0
-    for k, n, fns in pools:
-        for f in fns:
-            sub = sp.sub_vector(f)
-            sep = sp.sep_vector(f)
-            checked += 1
-            if sum(sub) != len(sp.subfunctions(f)):
-                return False, checked, f.table_text()
-            if sum(sep) != len(sp.separable_sets(f)):
-                return False, checked, f.table_text()
-            ess = f.ess()
-            for m, cnt in enumerate(sep, start=1):
-                limit = 0 if m > ess else comb(ess, m)
-                if cnt > limit:
-                    return False, checked, f.table_text()
-    return True, checked, None
+    def cases(k, n, f):
+        sep, ess = sp.sep_vector(f), f.ess()
+        yield (sum(sp.sub_vector(f)) == len(sp.subfunctions(f))
+               and sum(sep) == len(sp.separable_sets(f))
+               and all(cnt <= comb(ess, m) for m, cnt in enumerate(sep, 1)))
+    return _sweep(pools, cases)
 
 
 CHECKS = [

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -184,6 +185,18 @@ class TestClassify:
         assert out == ""
         assert "budget" in err.lower()
 
+    @pytest.mark.parametrize("k,n,relation", [(50, 3, "--relation sep"),
+                                              (256, 3, "--group s"),
+                                              (16, 2, "--relation imp")])
+    def test_huge_space_is_a_budget_error_named_by_its_space(
+            self, capsys, k, n, relation):
+        # k^(k^n) runs to 40 million digits at k = 256: never written out
+        code, out, err = run_cli(capsys, "classify", "--k", str(k), "--n",
+                                 str(n), *relation.split())
+        assert code == 3
+        assert err.startswith("budget exceeded") and f"P_{k}^{n}" in err
+        assert not re.search(r"\d{21}", out + err)
+
 
 class TestTables:
     def test_table1_diff_clean(self, capsys):
@@ -240,6 +253,12 @@ class TestVerify:
         assert code == 3
         assert "budget" in err.lower()
         assert peak < 16 << 20
+
+    def test_radix_above_a_byte_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--k", "300")
+        assert code == 2
+        assert out == ""
+        assert "table cells are bytes" in err
 
 
 class TestParse:

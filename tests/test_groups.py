@@ -11,7 +11,7 @@ from fnclass.groups import (GROUP_NAMES, GroupDescriptor, OrbitBudgetError,
                             Transformation, _generators, _id_bfs, _id_tables,
                             _outer_sum, _row_bfs, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
-                            group_elements, group_generators,
+                            fullsym_element, group_elements, group_generators,
                             identity, orbit_keys, orbit_partition,
                             orbit_transversal, output_image, output_map,
                             output_translate, var_perm, var_perm_value_maps)
@@ -125,6 +125,33 @@ class TestEnumeration:
         elements = list(group_elements(gd))
         assert len(elements) == order == gd.order()
         assert len(set(elements)) == order  # no duplicates
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                     (3, 2)])
+    def test_fullsym_element_by_index(self, k, n):
+        elements = list(group_elements(GroupDescriptor("fullsym", k, n)))
+        assert [fullsym_element(k, n, i)
+                for i in range(len(elements))] == elements
+        with pytest.raises(ValueError):
+            fullsym_element(k, n, len(elements))
+
+    def test_affine_sends_points_by_its_formula(self):
+        # f(x) = g(xA + c) + a^t x + d, point by point, without digit tables
+        rng = random.Random(3)
+        for k, n in [(2, 3), (3, 2), (5, 2)]:
+            mat = [[0]]
+            while not round(np.linalg.det(mat)) % k:  # nonsingular mod k
+                mat = [[rng.randrange(k) for _ in range(n)] for _ in range(n)]
+            c, a = [rng.randrange(k) for _ in range(n)], [1] * n
+            t = affine(k, n, mat, c, a, 1)
+            for x, point in enumerate(itertools.product(range(k), repeat=n)):
+                point = point[::-1]  # x_1 is the least significant digit
+                image = [(sum(point[i] * mat[i][j] for i in range(n)) + c[j])
+                         % k for j in range(n)]
+                assert t.domain_map[x] == sum(v * k ** j
+                                              for j, v in enumerate(image))
+                off = (sum(point) + 1) % k
+                assert t.out_maps[x] == tuple((v + off) % k for v in range(k))
 
     def test_generators_generate(self):
         for name in ("s", "ca", "g", "ge", "cf", "lf", "lg", "a", "axa1",

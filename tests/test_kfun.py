@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnclass.kfun import KFunction, from_values, table_texts
+from fnclass.kfun import KFunction, from_values, space_size, table_texts
 
 # the worked pair used across the suite, tables fixed by hand from the
 # defining expressions (index = a1 + 2*a2 + 4*a3)
@@ -260,3 +260,15 @@ def test_eval_matches_table_order(k, n, data):
         idx += a * weight
         weight *= k
     assert f.eval(point) == vals[idx]
+
+
+def test_space_size_is_exact_at_the_limit():
+    for k, n in [(2, 0), (2, 3), (2, 4), (3, 2), (4, 2), (256, 0)]:
+        size = k ** (k ** n)
+        for limit in (size - 1, size, size + 1, 1 << 64):
+            assert space_size(k, n, limit) == (size if size <= limit else None)
+    # too large to write out, yet answered at once
+    assert space_size(256, 3, 1 << 22) is None
+    assert space_size(2, 10 ** 9, 1 << 63) is None
+    with pytest.raises(ValueError, match="radix"):
+        space_size(257, 0, 1 << 22)

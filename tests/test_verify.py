@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -135,3 +136,49 @@ def test_census_built_once_per_function_and_mutant(monkeypatch, mutant):
                mutant=mutant, names=IMPLEMENTATION_CHECKS)
     assert built and len(built) == len(set(built))
     assert {m for _, m in built} == {None, mutant}
+
+
+def pinned(counts, failures):
+    """(name, passed, checked, counterexample) of every check in CHECKS
+    order, from each check's case count and the failing ones' texts."""
+    names = [name for name, _ in verify.CHECKS]
+    assert len(counts) == len(names)
+    return [(name, name not in failures, checked, failures.get(name))
+            for name, checked in zip(names, counts)]
+
+
+# every check's outcome on three small sweeps, as the hand-written
+# count-and-stop loops that `_sweep` replaced reported it
+PINNED_SWEEPS = [
+    (dict(k=2, n_exhaustive=2, n_sampled=3, samples=40),
+     pinned([404, 62, 279, 4, 8, 204, 204, 4, 299, 278, 394, 62, 62, 62, 62,
+             233, 124, 3, 2192, 4, 18, 62], {})),
+    (dict(k=2, n_exhaustive=2, n_sampled=3, samples=40,
+          mutant="no-remove-rule"),
+     pinned([404, 62, 279, 4, 8, 204, 204, 4, 299, 3, 394, 23, 62, 62, 62,
+             54, 124, 3, 2192, 4, 18, 62],
+            {"label-lemma": "0",
+             "separable-iff-tail-implementation-suffix": "c5",
+             "depth-theorems": "c5"})),
+    (dict(k=3, n_exhaustive=1, n_sampled=2, samples=30),
+     pinned([321, 60, 114, 0, 0, 200, 200, 0, 264, 90, 354, 60, 60, 60, 60,
+             144, 360, 2, 2412, 2, 0, 60], {})),
+]
+
+
+@pytest.mark.parametrize("config, expected", PINNED_SWEEPS)
+def test_every_check_keeps_its_pinned_outcome(config, expected):
+    run = run_checks(**config)
+    assert [(r.name, r.passed, r.checked, r.counterexample)
+            for r in run.results] == expected
+
+
+def test_fullsym_check_samples_without_listing_the_group():
+    # fullsym on P_8^1 has 8!^2 = 1,625,702,400 elements: listing them
+    # never finishes, drawing 48 indices is instant
+    start = time.perf_counter()
+    run = run_checks(k=8, n_exhaustive=0, n_sampled=1, samples=3, seed=0,
+                     names=["symmetric-transform-invariance"])
+    (result,) = run.results
+    assert result.passed and result.checked == 48 * 3
+    assert time.perf_counter() - start < 20
