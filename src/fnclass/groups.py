@@ -8,32 +8,41 @@ and its classical subgroups, where rho_x adds a^t x + d) and the
 symmetric family (variable permutations combined with per-variable and
 output value permutations).
 
-Group names: s, ca, g, ge, cf, lf, lg, a, axa1, rag, fullsym.  The linear
-and affine ones (lg, a, axa1, rag) require a prime radix.
+Every group is a product of parts, each described once in `_PARTS`: its
+order, its element at an index and the generators it adds; `_GROUPS`
+names each group's parts (a group with linear maps requires a prime
+radix).  A group's order is the product of its parts' orders;
+`group_element` reads an index as one index per part, the first part
+most significant, and composes those elements; `group_elements` lists
+every element in that index order; the generators are the parts'
+generators in turn.  `Transformation`, `group_element` and
+`group_elements` are the element-level API and the oracle the orbit
+machinery is tested against.
 
-`Transformation` and `group_elements` are the element-level API and the
-oracle the orbit machinery is tested against.  The orbit machinery itself
-works on numpy arrays from the generators only.  Each generator's action
-on the function ids is a few partial-sum tables of at most ID_TABLE
-entries, built once per group and cached (`_id_action`).
-`orbit_partition` rebuilds each generator's id permutation from them
-into one preallocated array and lowers every id's label to its image's
-label, a gather into another, until the labels settle; a round allocates
-nothing of the space's size.  `orbit_minima` reads each orbit's least id,
-the one id that is its own label, and its size off the labels.
-`canonical_form` expands one orbit as a frontier BFS over function ids,
-a frontier's images under every generator being one table lookup per
-chunk of cells, added up, and deduplicated by a sort.  Above ID_SPACE =
-2^63 functions (P_2^6, P_2^7, P_3^4, ...) ids no longer fit intp, and the
-same BFS runs on `bitops.row_keys` of table rows, one gather per level.
+The orbit machinery itself works on numpy arrays from the generators
+only.  Each generator's action on the function ids is a few partial-sum
+tables of at most ID_TABLE entries, built once per group and cached
+(`_id_action`).  `orbit_partition` rebuilds each generator's id
+permutation from them into one preallocated array and lowers every id's
+label to its image's label, a gather into another, until the labels
+settle; a round allocates nothing of the space's size.  `orbit_minima`
+reads each orbit's least id, the one id that is its own label, and its
+size off the labels.  `canonical_form` expands one orbit as a frontier
+BFS over function ids, a frontier's images under every generator being
+one table lookup per chunk of cells, added up, and deduplicated by a
+sort.  Above ID_SPACE = 2^63 functions (P_2^6, P_2^7, P_3^4, ...) ids no
+longer fit intp, and the same BFS runs on `bitops.row_keys` of table
+rows, one gather per level.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -233,26 +242,124 @@ def output_image(f: KFunction, sigma: Iterable[int]) -> KFunction:
 
 
 # ---------------------------------------------------------------------------
-# group descriptors
+# group descriptors: every group is a product of parts
 # ---------------------------------------------------------------------------
 
-GROUP_NAMES = ("s", "ca", "g", "ge", "cf", "lf", "lg", "a", "axa1", "rag",
-               "fullsym")
-_LINEAR = {"lg", "a", "axa1", "rag"}
+def _mixed_digits(index: int, bases) -> list[int]:
+    """`index`'s digits in the mixed radix `bases`, the first most significant."""
+    digits = []
+    for base in reversed(bases):
+        index, digit = divmod(index, base)
+        digits.append(digit)
+    return digits[::-1]
 
 
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
+def _nth_permutation(items, rank: int) -> tuple[int, ...]:
+    """The permutation of the ascending `items` at `rank` in
+    `itertools.permutations`' (lexicographic) order."""
+    pool = list(items)
+    return tuple(pool.pop(j)
+                 for j in _mixed_digits(rank, range(len(pool), 0, -1)))
 
 
-def _gl_order(n: int, k: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= k ** n - k ** i
-    return out
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(n))
+
+
+def _nth_invertible(n: int, k: int, index: int) -> list[tuple[int, ...]]:
+    """The nonsingular n x n matrix over Z_k at `index`, lexicographically:
+    row r is one of the k^n - k^r vectors outside the rows' span above it."""
+    rows: list[tuple[int, ...]] = []
+    for d in _mixed_digits(index, [k ** n - k ** r for r in range(n)]):
+        span = {tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % k
+                      for j in range(n))
+                for coeffs in itertools.product(range(k), repeat=len(rows))}
+        rows.append([v for v in itertools.product(range(k), repeat=n)
+                     if v not in span][d])
+    return rows
+
+
+def _linear(k: int, n: int, mat) -> Transformation:
+    return affine(k, n, mat, (0,) * n, (0,) * n, 0)
+
+
+def _lg_generators(k: int, n: int) -> list[Transformation]:
+    """I + e_rc for every r != c, then diag(u, 1, ..., 1) for units u >= 2."""
+    def eye_with(r, c, v):
+        return _linear(k, n, [[v if (i, j) == (r, c) else int(i == j)
+                               for j in range(n)] for i in range(n)])
+    return ([eye_with(r, c, 1) for r in range(n) for c in range(n) if r != c]
+            + [eye_with(0, 0, u) for u in range(2, k) if n])
+
+
+def _swap_and_cycle(k: int) -> tuple[list[int], list[int]]:
+    return [1, 0, *range(2, k)], [(v + 1) % k for v in range(k)]
+
+
+class _Part(NamedTuple):
+    """A factor of groups on P_k^n: order, element at an index, generators."""
+    order: Callable[[int, int], int]
+    element: Callable[[int, int, int], Transformation]
+    generators: Callable[[int, int], list[Transformation]]
+
+
+_PARTS = {
+    # variable permutations, lexicographic; adjacent transpositions
+    "s": _Part(lambda k, n: math.factorial(n),
+               lambda k, n, i: var_perm(k, n, _nth_permutation(
+                   range(1, n + 1), i)),
+               lambda k, n: [var_perm(k, n, [*range(1, i), i + 1, i,
+                                             *range(i + 2, n + 1)])
+                             for i in range(1, n)]),
+    # argument translations f(x + c), c in `itertools.product` order
+    "ca": _Part(lambda k, n: k ** n,
+                lambda k, n, i: arg_translate(k, n, _mixed_digits(i, [k] * n)),
+                lambda k, n: [arg_translate(k, n, _unit(n, i))
+                              for i in range(n)]),
+    # output translations f + d
+    "cf": _Part(lambda k, n: k,
+                lambda k, n, i: output_translate(k, n, i),
+                lambda k, n: [output_translate(k, n, 1)]),
+    # added linear functions f + a^t x
+    "lf": _Part(lambda k, n: k ** n,
+                lambda k, n, i: add_linear(k, n, _mixed_digits(i, [k] * n)),
+                lambda k, n: [add_linear(k, n, _unit(n, i))
+                              for i in range(n)]),
+    # linear maps f(xA), A nonsingular (k prime)
+    "lg": _Part(lambda k, n: math.prod(k ** n - k ** i for i in range(n)),
+                lambda k, n, i: _linear(k, n, _nth_invertible(n, k, i)),
+                _lg_generators),
+    # output multiplications u * f by the units u = 1, ..., k - 1 (k prime)
+    "units": _Part(lambda k, n: k - 1,
+                   lambda k, n, i: output_map(k, n, [(i + 1) * v % k
+                                                     for v in range(k)]),
+                   lambda k, n: [output_map(k, n, [u * v % k for v in range(k)])
+                                 for u in range(2, k)]),
+    # a value permutation on every variable, n lexicographic ranks
+    "vals": _Part(lambda k, n: math.factorial(k) ** n,
+                  lambda k, n, i: var_perm_value_maps(
+                      k, n, range(1, n + 1),
+                      [_nth_permutation(range(k), r)
+                       for r in _mixed_digits(i, [math.factorial(k)] * n)]),
+                  lambda k, n: [var_perm_value_maps(
+                      k, n, range(1, n + 1),
+                      [s if j == i else range(k) for j in range(n)])
+                      for i in range(n) for s in _swap_and_cycle(k)]),
+    # output value permutations sigma . f, lexicographic
+    "outs": _Part(lambda k, n: math.factorial(k),
+                  lambda k, n, i: output_map(k, n, _nth_permutation(range(k), i)),
+                  lambda k, n: [output_map(k, n, s) for s in _swap_and_cycle(k)]),
+}
+
+# each group's parts, in generator order; an element composes one element
+# of every part, first part outermost
+_GROUPS = {
+    "s": ("s",), "ca": ("ca",), "g": ("s", "ca"), "ge": ("s", "ca", "cf"),
+    "cf": ("cf",), "lf": ("lf",), "lg": ("lg",), "a": ("lg", "ca"),
+    "axa1": ("lg", "ca", "cf", "units"), "rag": ("lg", "ca", "lf", "cf"),
+    "fullsym": ("s", "vals", "outs"),
+}
+GROUP_NAMES = tuple(_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -268,120 +375,37 @@ class GroupDescriptor:
             raise ValueError(f"radix k must be >= 2, got {self.k}")
         if self.name not in GROUP_NAMES:
             raise ValueError(f"unknown group {self.name!r}; choose from {GROUP_NAMES}")
-        if self.name in _LINEAR and not _is_prime(self.k):
+        if "lg" in _GROUPS[self.name] and not _is_prime(self.k):
             raise ValueError(f"group {self.name!r} requires a prime radix, got k={self.k}")
 
     def order(self) -> int:
-        k, n = self.k, self.n
-        return {
-            "s": _factorial(n),
-            "ca": k ** n,
-            "g": _factorial(n) * k ** n,
-            "ge": _factorial(n) * k ** n * k,
-            "cf": k,
-            "lf": k ** n,
-            "lg": _gl_order(n, k),
-            "a": _gl_order(n, k) * k ** n,
-            "axa1": _gl_order(n, k) * k ** n * k * (k - 1),
-            "rag": _gl_order(n, k) * k ** n * k ** n * k,
-            "fullsym": _factorial(n) * _factorial(k) ** n * _factorial(k),
-        }[self.name]
+        return math.prod(part.order(self.k, self.n) for part in _parts(self))
 
 
-def _invertible_matrices(n: int, k: int) -> Iterator[list[list[int]]]:
-    for flat in itertools.product(range(k), repeat=n * n):
-        mat = [list(flat[r * n:(r + 1) * n]) for r in range(n)]
-        if _mat_nonsingular(mat, k):
-            yield mat
+def _parts(gd: GroupDescriptor) -> list[_Part]:
+    return [_PARTS[part] for part in _GROUPS[gd.name]]
+
+
+def group_element(gd: GroupDescriptor, index: int) -> Transformation:
+    """Element `index` of the group in `group_elements`' order, built alone:
+    the index reads as one index per part, the first part most significant,
+    so sampling indices samples the group without listing it."""
+    k, n = gd.k, gd.n
+    if not 0 <= index < gd.order():
+        raise ValueError(f"{gd.name} on P_{k}^{n} has no element {index}")
+    parts = _parts(gd)
+    digits = _mixed_digits(index, [part.order(k, n) for part in parts])
+    return functools.reduce(operator.matmul, (
+        part.element(k, n, i) for part, i in zip(parts, digits)))
 
 
 def group_elements(gd: GroupDescriptor) -> Iterator[Transformation]:
-    """Enumerate every element of the group (lazily; rag/a can be large)."""
+    """Every element of the group, lazily, in `group_element`'s order."""
     k, n = gd.k, gd.n
-    perms = list(itertools.permutations(range(1, n + 1)))
-    vectors = list(itertools.product(range(k), repeat=n))
-    name = gd.name
-    if name == "s":
-        for p in perms:
-            yield var_perm(k, n, p)
-    elif name == "ca":
-        for c in vectors:
-            yield arg_translate(k, n, c)
-    elif name == "g":
-        for p in perms:
-            tp = var_perm(k, n, p)
-            for c in vectors:
-                yield tp @ arg_translate(k, n, c)
-    elif name == "ge":
-        for p in perms:
-            tp = var_perm(k, n, p)
-            for c in vectors:
-                tc = tp @ arg_translate(k, n, c)
-                for d in range(k):
-                    yield output_translate(k, n, d) @ tc
-    elif name == "cf":
-        for d in range(k):
-            yield output_translate(k, n, d)
-    elif name == "lf":
-        for a in vectors:
-            yield add_linear(k, n, a)
-    elif name == "lg":
-        for mat in _invertible_matrices(n, k):
-            yield affine(k, n, mat, (0,) * n, (0,) * n, 0)
-    elif name == "a":
-        for mat in _invertible_matrices(n, k):
-            for c in vectors:
-                yield affine(k, n, mat, c, (0,) * n, 0)
-    elif name == "axa1":
-        units = [u for u in range(1, k)]
-        for mat in _invertible_matrices(n, k):
-            for c in vectors:
-                base = affine(k, n, mat, c, (0,) * n, 0)
-                for u in units:
-                    for d in range(k):
-                        out = output_map(k, n, [(u * v + d) % k for v in range(k)])
-                        yield out @ base
-    elif name == "rag":
-        for mat in _invertible_matrices(n, k):
-            for c in vectors:
-                for a in vectors:
-                    for d in range(k):
-                        yield affine(k, n, mat, c, a, d)
-    elif name == "fullsym":
-        value_perms = list(itertools.permutations(range(k)))
-        for p in perms:
-            for sigs in itertools.product(value_perms, repeat=n):
-                base = var_perm_value_maps(k, n, p, sigs)
-                for so in value_perms:
-                    yield output_map(k, n, so) @ base
-
-
-def _nth_permutation(items, rank: int) -> tuple[int, ...]:
-    """The permutation of the ascending `items` at `rank` in
-    `itertools.permutations`' (lexicographic) order."""
-    pool, out = list(items), []
-    for left in range(len(pool) - 1, -1, -1):
-        j, rank = divmod(rank, _factorial(left))
-        out.append(pool.pop(j))
-    return tuple(out)
-
-
-def fullsym_element(k: int, n: int, index: int) -> Transformation:
-    """Element `index` of fullsym on P_k^n in `group_elements`' order, built
-    alone: the index reads as (variable permutation, n value permutations,
-    output permutation), each a lexicographic rank, the first most
-    significant, so sampling indices samples the group without listing it.
-    """
-    if not 0 <= index < GroupDescriptor("fullsym", k, n).order():
-        raise ValueError(f"fullsym on P_{k}^{n} has no element {index}")
-    ranks = []
-    for _ in range(n + 1):
-        index, rank = divmod(index, _factorial(k))
-        ranks.append(rank)
-    out, *sigs = (_nth_permutation(range(k), r) for r in ranks)
-    base = var_perm_value_maps(k, n, _nth_permutation(range(1, n + 1), index),
-                               sigs[::-1])
-    return output_map(k, n, out) @ base
+    first, *rest = ([part.element(k, n, i) for i in range(part.order(k, n))]
+                    for part in _parts(gd))
+    return functools.reduce(lambda outer, inner: (
+        t @ u for t in outer for u in inner), rest, iter(first))
 
 
 def group_generators(gd: GroupDescriptor) -> list[Transformation]:
@@ -391,88 +415,8 @@ def group_generators(gd: GroupDescriptor) -> list[Transformation]:
 
 @functools.lru_cache(maxsize=64)
 def _generators(gd: GroupDescriptor) -> tuple[Transformation, ...]:
-    k, n = gd.k, gd.n
-    gens: list[Transformation] = []
-
-    def add_s():
-        for i in range(1, n):
-            p = list(range(1, n + 1))
-            p[i - 1], p[i] = p[i], p[i - 1]
-            gens.append(var_perm(k, n, p))
-
-    def add_ca():
-        for i in range(n):
-            c = [0] * n
-            c[i] = 1
-            gens.append(arg_translate(k, n, c))
-
-    def add_cf():
-        gens.append(output_translate(k, n, 1))
-
-    def add_lf():
-        for i in range(n):
-            a = [0] * n
-            a[i] = 1
-            gens.append(add_linear(k, n, a))
-
-    def add_lg():
-        eye = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for r in range(n):
-            for c in range(n):
-                if r == c:
-                    continue
-                mat = [row[:] for row in eye]
-                mat[r][c] = 1
-                gens.append(affine(k, n, mat, (0,) * n, (0,) * n, 0))
-        if k > 2 and n >= 1:
-            for u in range(2, k):  # any unit; all of them keeps it simple
-                mat = [row[:] for row in eye]
-                mat[0][0] = u
-                gens.append(affine(k, n, mat, (0,) * n, (0,) * n, 0))
-
-    def add_value_perms():
-        swap = [1, 0] + list(range(2, k))
-        cyc = [(v + 1) % k for v in range(k)]
-        ident = list(range(1, n + 1))
-        for i in range(n):
-            for s in (swap, cyc):
-                sigs = [list(range(k)) for _ in range(n)]
-                sigs[i] = s
-                gens.append(var_perm_value_maps(k, n, ident, sigs))
-
-    def add_output_perms():
-        gens.append(output_map(k, n, [1, 0] + list(range(2, k))))
-        gens.append(output_map(k, n, [(v + 1) % k for v in range(k)]))
-
-    name = gd.name
-    if name == "s":
-        add_s()
-    elif name == "ca":
-        add_ca()
-    elif name == "g":
-        add_s(); add_ca()
-    elif name == "ge":
-        add_s(); add_ca(); add_cf()
-    elif name == "cf":
-        add_cf()
-    elif name == "lf":
-        add_lf()
-    elif name == "lg":
-        add_lg()
-    elif name == "a":
-        add_lg(); add_ca()
-    elif name == "axa1":
-        add_lg(); add_ca(); add_cf()
-        if k > 2:
-            for u in range(2, k):
-                gens.append(output_map(gd.k, n, [u * v % k for v in range(k)]))
-    elif name == "rag":
-        add_lg(); add_ca(); add_lf(); add_cf()
-    elif name == "fullsym":
-        add_s(); add_value_perms(); add_output_perms()
-    if not gens:
-        gens.append(identity(k, n))
-    return tuple(gens)
+    gens = [t for part in _parts(gd) for t in part.generators(gd.k, gd.n)]
+    return tuple(gens or [identity(gd.k, gd.n)])
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,6 @@ EXAMPLE_IMPS = {
                        ("213", "1000"), ("213", "1011"), ("21", "111")),
 }
 
-TABLE_NAMES = ("table1", "table3", "table4", "table5", "figure4")
-
-
 # ---------------------------------------------------------------------------
 # reproduction
 # ---------------------------------------------------------------------------
@@ -272,20 +269,18 @@ def _reproduce_figure4() -> TableResult:
     return _diff(TableResult("figure4", header, rows, expected))
 
 
+_REPRODUCERS = {"table1": _reproduce_table1, "table3": _reproduce_table3,
+                "table4": _reproduce_table4, "table5": _reproduce_table5,
+                "figure4": _reproduce_figure4}
+TABLE_NAMES = tuple(_REPRODUCERS)
+
+
 def reproduce_table(name: str) -> TableResult:
     """Recompute one of the reference tables and diff it against the fixture.
 
     Every table is computed in this process; table4's scans classify one
     function per g-orbit of P_2^n.
     """
-    if name == "table1":
-        return _reproduce_table1()
-    if name == "table3":
-        return _reproduce_table3()
-    if name == "table4":
-        return _reproduce_table4()
-    if name == "table5":
-        return _reproduce_table5()
-    if name == "figure4":
-        return _reproduce_figure4()
-    raise ValueError(f"unknown table {name!r}; choose from {TABLE_NAMES}")
+    if name not in _REPRODUCERS:
+        raise ValueError(f"unknown table {name!r}; choose from {TABLE_NAMES}")
+    return _REPRODUCERS[name]()

@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cache
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from . import bitops
 from . import diagrams as dg
 from . import separability as sp
 from .classify import imp_equivalent_direct, imp_signature, scan_space, refinement_check
-from .groups import GroupDescriptor, fullsym_element, output_image
+from .groups import (GroupDescriptor, _nth_permutation, group_element,
+                     output_image)
 from .kfun import KFunction, space_size
 from .spform import parse
 
@@ -357,11 +359,26 @@ def _check_depth_theorems(pools, mutant, rng, census):
     return _sweep(pools, cases)
 
 
+def _sample_indices(rng, order: int):
+    """48 distinct indices below `order` (all of them if there are no more);
+    `rng.sample` while `range(order)` has a length, distinct `rng.randrange`
+    draws above sys.maxsize."""
+    if order <= 48:
+        return range(order)
+    if order <= sys.maxsize:
+        return rng.sample(range(order), 48)
+    picks = {}
+    while len(picks) < 48:
+        picks[rng.randrange(order)] = None
+    return list(picks)
+
+
 def _check_output_perm_invariance(pools, mutant, rng, census):
+    # all k! value permutations up to k = 4, above that 48 drawn per function
     def cases(k, n, f):
         base = dg.imp_count(f), sp.sub_vector(f)
-        for sigma in itertools.permutations(range(k)):
-            g = output_image(f, sigma)
+        for i in _sample_indices(rng, factorial(k)):
+            g = output_image(f, _nth_permutation(range(k), i))
             yield (dg.imp_count(g), sp.sub_vector(g)) == base
     return _sweep(pools, cases, keep=_at_most_five)
 
@@ -390,9 +407,9 @@ def _check_fullsym_invariance(pools, mutant, rng, census):
     def spaces():
         for k, n, fns in pools:
             if n >= 1:
-                ids = range(GroupDescriptor("fullsym", k, n).order())
-                picks = ids if len(ids) <= 48 else rng.sample(ids, 48)
-                elements[k, n] = [fullsym_element(k, n, i) for i in picks]
+                gd = GroupDescriptor("fullsym", k, n)
+                elements[k, n] = [group_element(gd, i)
+                                  for i in _sample_indices(rng, gd.order())]
                 yield k, n, fns if len(fns) <= 220 else rng.sample(fns, 220)
 
     def measures(f):

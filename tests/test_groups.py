@@ -11,7 +11,7 @@ from fnclass.groups import (GROUP_NAMES, GroupDescriptor, OrbitBudgetError,
                             Transformation, _generators, _id_bfs, _id_tables,
                             _outer_sum, _row_bfs, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
-                            fullsym_element, group_elements, group_generators,
+                            group_element, group_elements, group_generators,
                             identity, orbit_keys, orbit_partition,
                             orbit_transversal, output_image, output_map,
                             output_translate, var_perm, var_perm_value_maps)
@@ -113,6 +113,16 @@ class TestComposition:
             var_perm(2, 2, (2, 1)) @ var_perm(2, 3, (1, 2, 3))
 
 
+def assert_element_by_index(gd):
+    """`group_element` builds `group_elements`' list, index by index, and
+    refuses the indices outside it."""
+    elements = list(group_elements(gd))
+    assert [group_element(gd, i) for i in range(len(elements))] == elements
+    for index in (len(elements), -1):
+        with pytest.raises(ValueError, match="no element"):
+            group_element(gd, index)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("name,k,n,order", [
         ("s", 2, 3, 6), ("ca", 2, 3, 8), ("g", 2, 3, 48), ("ge", 2, 3, 96),
@@ -129,11 +139,15 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
                                      (3, 2)])
     def test_fullsym_element_by_index(self, k, n):
-        elements = list(group_elements(GroupDescriptor("fullsym", k, n)))
-        assert [fullsym_element(k, n, i)
-                for i in range(len(elements))] == elements
-        with pytest.raises(ValueError):
-            fullsym_element(k, n, len(elements))
+        # the index order `verify` samples fullsym in
+        assert_element_by_index(GroupDescriptor("fullsym", k, n))
+
+    @pytest.mark.parametrize("name,k,n", [
+        (name, k, n) for k, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+        for name in GROUP_NAMES
+        if name != "fullsym" and GroupDescriptor(name, k, n).order() <= 3000])
+    def test_element_by_index(self, name, k, n):
+        assert_element_by_index(GroupDescriptor(name, k, n))
 
     def test_affine_sends_points_by_its_formula(self):
         # f(x) = g(xA + c) + a^t x + d, point by point, without digit tables
@@ -154,11 +168,10 @@ class TestEnumeration:
                 assert t.out_maps[x] == tuple((v + off) % k for v in range(k))
 
     def test_generators_generate(self):
-        for name in ("s", "ca", "g", "ge", "cf", "lf", "lg", "a", "axa1",
-                     "rag", "fullsym"):
-            gd = GroupDescriptor(name, 2, 2)
+        for (k, n), name in itertools.product(((2, 2), (3, 1)), GROUP_NAMES):
+            gd = GroupDescriptor(name, k, n)
             gens = group_generators(gd)
-            closure = {identity(2, 2)}
+            closure = {identity(k, n)}
             frontier = list(closure)
             while frontier:
                 new = []
@@ -169,7 +182,8 @@ class TestEnumeration:
                             closure.add(c)
                             new.append(c)
                 frontier = new
-            assert len(closure) == gd.order(), name
+            assert len(closure) == gd.order(), gd
+            assert closure == set(group_elements(gd)), gd
 
     def test_generators_are_cached_copies(self):
         gd = GroupDescriptor("ge", 2, 3)

@@ -182,3 +182,22 @@ def test_fullsym_check_samples_without_listing_the_group():
     (result,) = run.results
     assert result.passed and result.checked == 48 * 3
     assert time.perf_counter() - start < 20
+
+
+def test_fullsym_check_samples_past_64_bit_orders():
+    # fullsym on P_13^1 has 13!^2 (about 2^65) elements, past what
+    # `random.sample` can draw from
+    run = run_checks(k=13, n_exhaustive=0, n_sampled=1, samples=1, seed=0,
+                     names=["symmetric-transform-invariance"])
+    (result,) = run.results
+    assert result.passed and result.checked == 48
+
+
+def test_output_permutations_sampled_above_48():
+    # 5! = 120 value permutations: 48 of them are drawn per function
+    pools = _function_pool(5, 0, 1, 1, 0)
+    run = run_checks(k=5, n_exhaustive=0, n_sampled=1, samples=1, seed=0,
+                     names=["output-permutation-invariance"])
+    (result,) = run.results
+    assert result.passed
+    assert result.checked == 48 * sum(len(fns) for _, _, fns in pools)
