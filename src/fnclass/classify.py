@@ -22,6 +22,7 @@ representative text is written straight from its id (`kfun.table_texts`).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .diagrams import imp_count
 from .groups import (GROUP_NAMES, GroupDescriptor, orbit_minima,
                      orbit_partition)
 from .kfun import KFunction, space_size, table_texts
-from .separability import sep_vector, sub_vector
+from .separability import ComplexityProfile, sep_vector, sub_vector
 
 RELATIONS = ("imp", "sub", "sep")
 
@@ -65,8 +66,6 @@ def imp_equivalent_direct(f: KFunction, g: KFunction) -> bool:
     matched pair, every value permutation.  Exponential; this is the
     independent oracle guarding imp_signature, not a production path.
     """
-    import itertools
-
     memo: dict[tuple[bytes, bytes], bool] = {}
 
     def rec(a: KFunction, b: KFunction) -> bool:
@@ -310,7 +309,7 @@ def classify_space(k: int, n: int, relation: str,
         if space_size(2, 4, max_space) is None:
             raise MemoryError(f"the P_2^5 sep join scans the {1 << 16} "
                               f"functions of P_2^4, over budget {max_space}")
-        from .scan5 import sep_scan_p2_5
+        from .scan5 import sep_scan_p2_5  # scan5 builds on this module
         return sep_scan_p2_5()
     if relation in RELATIONS:
         return scan_space(k, n, (relation,), keep_assignment=keep_assignment,
@@ -355,6 +354,5 @@ def refinement_check(a: ClassificationReport, b: ClassificationReport) -> bool:
 
 def compute_profile(f: KFunction):
     """All three complexity measures of one function."""
-    from .separability import ComplexityProfile
     return ComplexityProfile(imp=imp_count(f), sub=sub_vector(f),
                              sep=sep_vector(f))

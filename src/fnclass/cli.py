@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
         m = _parse_set(args.set)
         dis = sp.distributive_sets(m, f)
         report["set"] = sorted(m)
-        report["separable"] = sp.is_separable(f, m)
+        report["separable"] = not dis
         report["distributive_sets"] = sorted(sorted(j) for j in dis)
         report["s_systems"] = sorted(sorted(b) for b in sp.s_systems(dis))
     if args.format == "json":

@@ -20,8 +20,12 @@ duplicates across orderings collapsed.
 
 `implementations` enumerates Imp(f) through ess(f)! diagrams and refuses
 above 8 essential variables.  `imp_count` counts it on the restriction
-lattice instead, at every radix, within the lattice's memory budget, and
-`find_full_depth_ordering` reads its ordering off the same lattice.
+lattice instead, at every radix, within the lattice's memory budget.
+
+The two depth orderings are built, not searched: `find_full_depth_ordering`
+reads a walk over strongly essential variables off the same lattice, and
+`find_shallow_ordering` puts a whole distributive set first.  Neither
+builds a diagram; `verify` checks their depths.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from . import bitops
 from .kfun import KFunction, VarSet
+from .separability import distributive_sets, s_systems
 
 
 class DiagramBudgetError(RuntimeError):
@@ -295,25 +300,18 @@ def find_full_depth_ordering(f: KFunction) -> tuple[int, ...]:
     preserve every other essential variable) at every step pins a
     full-length path: `bitops.descent` walks f's restriction lattice down
     to a constant that way, and the ordering is the variables it fixes.
-    Falls back to exhaustive search, though the walk cannot fail while
-    strongly essential variables exist.
+    Every row on the walk keeps all the essential variables not yet fixed,
+    so its path has ess(f) internal nodes.
     """
-    ess = f.essential_set()
-    if not ess:
+    if not f.essential_set():
         raise ValueError("f has no essential variables")
     lattice = bitops.function_lattice(f)
     path = bitops.descent(lattice, f.k, lattice.masks[0] == 0)
-    target = len(ess) + 1
-    if path is not None:
-        fixed = bitops.fixed_masks(lattice.variables, f.k)
-        order = tuple(int(fixed[lo] ^ fixed[hi]).bit_length()
-                      for hi, lo in zip(path, path[1:]))
-        if depth(reduce(build_odt(f, order))) == target:
-            return order
-    for perm in itertools.permutations(sorted(ess)):
-        if depth(reduce(build_odt(f, perm))) == target:
-            return perm
-    raise RuntimeError("no full-depth ordering found")  # contradicts the theory
+    if path is None:  # unreachable if strongly essential variables exist
+        raise RuntimeError("no full-depth ordering found")
+    fixed = bitops.fixed_masks(lattice.variables, f.k)
+    return tuple(int(fixed[lo] ^ fixed[hi]).bit_length()
+                 for hi, lo in zip(path, path[1:]))
 
 
 def find_shallow_ordering(f: KFunction, m) -> tuple[int, ...]:
@@ -323,34 +321,25 @@ def find_shallow_ordering(f: KFunction, m) -> tuple[int, ...]:
     on an entire minimal distributive set J of M first guarantees the
     bound: below any full assignment of J some member of M has gone
     inessential, so no path carries all of Ess(f).  The leading variable is
-    additionally taken from an s-system of Dis(M, f) (every J meets every
-    s-system, so such a head always exists).
+    the least of the least s-system of Dis(M, f) inside the least J (every
+    J meets every s-system, so such a head always exists), then the rest
+    of J, then the remaining variables.
 
     Starting at an s-system variable alone does not suffice when every
     member of Dis(M, f) has two or more variables: fixing just the head may
     leave all of M essential on some branch.
     """
-    from .separability import distributive_sets, is_separable, s_systems
-
     mset = frozenset(m)
     ess = f.essential_set()
     if not mset or not mset < ess:
         raise ValueError("M must be a non-empty proper subset of Ess(f)")
-    if is_separable(f, mset):
-        raise ValueError(f"{sorted(mset)} is separable in f")
-
     dis = distributive_sets(mset, f)
-    bound = len(ess) + 1
-    for beta in sorted(s_systems(dis), key=sorted):
-        for j in sorted(dis, key=sorted):
-            for head in sorted(beta & j):
-                order = (head, *sorted(j - {head}), *sorted(ess - j - {head}))
-                if depth(reduce(build_odt(f, order))) < bound:
-                    return order
-    for order in itertools.permutations(sorted(ess)):  # safety net
-        if depth(reduce(build_odt(f, order))) < bound:
-            return order
-    raise RuntimeError("no shallow ordering found")  # contradicts the theory
+    if not dis:  # Dis(M, f) is empty iff M is separable
+        raise ValueError(f"{sorted(mset)} is separable in f")
+    beta = min(s_systems(dis), key=sorted)
+    j = min(dis, key=sorted)
+    head = min(beta & j)
+    return (head, *sorted(j - {head}), *sorted(ess - j - {head}))
 
 
 # ---------------------------------------------------------------------------

@@ -193,22 +193,6 @@ def _is_prime(k: int) -> bool:
     return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
 
 
-def _mat_nonsingular(mat, k: int) -> bool:
-    m = [row[:] for row in mat]
-    n = len(m)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % k), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], -1, k)
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % k
-            if factor:
-                m[r] = [(m[r][j] - factor * m[col][j]) % k for j in range(n)]
-    return True
-
-
 def affine(k: int, n: int, mat, c: Iterable[int], a: Iterable[int],
            d: int) -> Transformation:
     """f(x) = g(xA + c) + a^t x + d: the general restricted-affine element."""
@@ -217,16 +201,15 @@ def affine(k: int, n: int, mat, c: Iterable[int], a: Iterable[int],
     rows = [list(r) for r in mat]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix must be n x n")
-    if not _mat_nonsingular(rows, k):
+    digits = bitops.cell_digits(k, n)
+    cells = _cells((np.array(rows, np.int64).reshape(n, n).T @ digits
+                    + _column(tuple(c), n)) % k, k)
+    if not np.bincount(cells, minlength=k ** n).all():  # x -> xA + c misses a cell
         raise ValueError("matrix is singular over Z_k")
-    cv, av = tuple(c), tuple(a)
     if not 0 <= d < k:
         raise ValueError(f"offset {d} out of range for Z_{k}")
-    digits = bitops.cell_digits(k, n)
-    image = np.array(rows, np.int64).reshape(n, n).T @ digits + _column(cv, n)
-    offsets = _column(av, n).T @ digits + d
-    return Transformation(k, n, _cells(image % k, k),
-                          _offset_maps(offsets, k), "affine")
+    offsets = _column(tuple(a), n).T @ digits + d
+    return Transformation(k, n, cells, _offset_maps(offsets, k), "affine")
 
 
 def output_image(f: KFunction, sigma: Iterable[int]) -> KFunction:
@@ -571,6 +554,8 @@ def orbit_partition(gd: GroupDescriptor,
     round into one preallocated array, which is cheaper than holding every
     permutation and than indexing with int32.  A round allocates no array
     of the space's size: every gather writes into a preallocated one.
+    Labels only fall, so a round that keeps the label sum moved none (any
+    fall totals below 2^64, so the int64 sum may wrap).
     """
     size = space_size(gd.k, gd.n, max_space)
     if size is None:
@@ -578,9 +563,9 @@ def orbit_partition(gd: GroupDescriptor,
                                f"scan budget {max_space}")
     parts = _id_action(gd)
     lab = np.arange(size, dtype=np.intp)
-    spare, perm, before = (np.empty_like(lab) for _ in range(3))
+    spare, perm = np.empty_like(lab), np.empty_like(lab)
+    total = int(lab.sum())
     while True:
-        np.copyto(before, lab)
         for g in range(parts[0].shape[0]):  # one generator at a time
             *head, last = [part[g] for part in parts]
             ids = last if not head else np.add.outer(
@@ -590,7 +575,8 @@ def orbit_partition(gd: GroupDescriptor,
             np.minimum(lab, spare, out=lab)
         np.take(lab, lab, out=spare, mode="clip")
         lab, spare = spare, lab
-        if np.array_equal(lab, before):
+        total, before = int(lab.sum()), total
+        if total == before:
             return lab.astype(np.int64, copy=False)
 
 

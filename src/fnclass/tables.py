@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import classify_space, scan_space
+from .diagrams import imp_count
 from .groups import GroupDescriptor, count_orbits, orbit_keys
+from .separability import sep_vector, sub_vector
 from .spform import parse
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,6 @@ def _diff(result: TableResult) -> TableResult:
 
 
 def _reproduce_table1() -> TableResult:
-    from .diagrams import imp_count
-
     report = classify_space(2, 2, "imp")
     by_imp = {c.extra["imp"]: c.size for c in report.classes}
     rows, expected = [], []
@@ -208,9 +208,6 @@ def _reproduce_table1() -> TableResult:
 
 
 def _reproduce_table3() -> TableResult:
-    from .diagrams import imp_count
-    from .separability import sep_vector, sub_vector
-
     reports = scan_space(2, 3, ("imp", "sub", "sep"))
     imp_sizes = {c.extra["imp"]: c.size for c in reports["imp"].classes}
     sub_sizes = {tuple(c.extra["sub_vector"]): c.size for c in reports["sub"].classes}

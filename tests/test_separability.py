@@ -185,13 +185,13 @@ class TestDistributiveSets:
                 assert distributive_sets(m, f) == blocking_oracle(m, f)
 
     def test_nonempty_iff_inseparable(self):
-        for ident in range(256):
-            f = KFunction.from_id(ident, 2, 3)
-            ess = sorted(f.essential_set())
-            for r in range(1, len(ess)):
-                for m in itertools.combinations(ess, r):
-                    dis = distributive_sets(m, f)
-                    assert bool(dis) == (not is_separable(f, m))
+        # find_shallow_ordering and `fnclass analyze --set` read
+        # separability off this, with is_separable as the oracle
+        binary = [KFunction.from_id(ident, 2, n)
+                  for n in range(4) for ident in range(2 ** 2 ** n)]
+        for f in binary + seeded(3, 2, 200, seed=32):
+            for m in every_m(f):
+                assert (not distributive_sets(m, f)) == is_separable(f, m)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from fnclass import bitops
 from fnclass import diagrams as dg
 from fnclass import verify
 from fnclass.kfun import KFunction
@@ -27,6 +28,22 @@ def test_mutant_breaks_label_lemma():
                      mutant="no-remove-rule",
                      names=["label-lemma"])
     assert not run.ok
+
+
+def test_depth_theorems_catch_a_reversed_descent(monkeypatch):
+    # the full-depth ordering is the walk's, unchecked; a walk read back to
+    # front must surface as a failing depth check, not be repaired
+    descent = bitops.descent
+
+    def reversed_descent(*args):
+        path = descent(*args)
+        return None if path is None else path[::-1]
+
+    monkeypatch.setattr(bitops, "descent", reversed_descent)
+    run = run_checks(k=2, n_exhaustive=3, n_sampled=3, samples=0, seed=0,
+                     names=["depth-theorems"])
+    (result,) = run.results
+    assert not result.passed
 
 
 def test_mutant_name_validated():
