@@ -9,30 +9,25 @@ symmetric family (variable permutations combined with per-variable and
 output value permutations).
 
 Every group is a product of parts, each described once in `_PARTS`: its
-order, its element at an index and the generators it adds; `_GROUPS`
-names each group's parts (a group with linear maps requires a prime
-radix).  A group's order is the product of its parts' orders;
-`group_element` reads an index as one index per part, the first part
-most significant, and composes those elements; `group_elements` lists
-every element in that index order; the generators are the parts'
-generators in turn.  `Transformation`, `group_element` and
-`group_elements` are the element-level API and the oracle the orbit
-machinery is tested against.
+order, its element at an index and its factors; `_GROUPS` names each
+group's parts (a group with linear maps requires a prime radix).  A
+group's order is the product of its parts' orders; `group_element` reads
+an index as one index per part, the first part most significant, and
+composes those elements; `group_elements` lists every element in that
+index order.  `Transformation`, `group_element` and `group_elements` are
+the element-level API and the oracle the orbit machinery is tested against.
 
-The orbit machinery itself works on numpy arrays from the generators
-only.  Each generator's action on the function ids is a few partial-sum
-tables of at most ID_TABLE entries, built once per group and cached
-(`_id_action`).  `orbit_partition` rebuilds each generator's id
-permutation from them into one preallocated array and lowers every id's
-label to its image's label, a gather into another, until the labels
-settle; a round allocates nothing of the space's size.  `orbit_minima`
-reads each orbit's least id, the one id that is its own label, and its
-size off the labels.  `canonical_form` expands one orbit as a frontier
-BFS over function ids, a frontier's images under every generator being
-one table lookup per chunk of cells, added up, and deduplicated by a
-sort.  Above ID_SPACE = 2^63 functions (P_2^6, P_2^7, P_3^4, ...) ids no
-longer fit intp, and the same BFS runs on `bitops.row_keys` of table
-rows, one gather per level.
+A part's factors are short lists of its elements such that each element
+composes one element or the identity of every list: transposition chains
+for symmetric groups (Sims), a factor per coordinate for translations,
+T U W U for GL(n, k) (Bruhat).  A group's factors are its parts' in turn,
+so a least id over the group is one sequential minimum per factor:
+`orbit_partition` lowers every id's label to its image's under each factor
+element once, and `orbit_keys`/`canonical_form` expand an orbit a factor at
+a time.  Both read an element's action on ids as partial-sum tables of at
+most ID_TABLE entries, cached per part and space (`_part_action`); above
+ID_SPACE = 2^63 functions (P_2^6, P_3^4, ...) ids no longer fit intp, and
+the expansion runs on `bitops.row_keys` of table rows.
 """
 
 from __future__ import annotations
@@ -266,75 +261,90 @@ def _linear(k: int, n: int, mat) -> Transformation:
     return affine(k, n, mat, (0,) * n, (0,) * n, 0)
 
 
-def _lg_generators(k: int, n: int) -> list[Transformation]:
-    """I + e_rc for every r != c, then diag(u, 1, ..., 1) for units u >= 2."""
+def _chain(m: int, element) -> list[list[Transformation]]:
+    """S_m as the transposition chain T_1, ..., T_{m-1}, T_j = {(i j) : i < j}
+    on 0..m-1 (Sims); `element` builds a transposition from its list."""
+    return [[element([j if v == i else i if v == j else v for v in range(m)])
+             for i in range(j)] for j in range(1, m)]
+
+
+def _multiples(k: int, n: int, element) -> list[list[Transformation]]:
+    """Z_k^n as one factor per coordinate, its non-zero multiples of e_i."""
+    return [[element([c * u for u in _unit(n, i)]) for c in range(1, k)]
+            for i in range(n)]
+
+
+def _lg_factors(k: int, n: int) -> list[list[Transformation]]:
+    """GL(n, k) = T U W U (Bruhat): the torus diag(1, .., u, .., 1) per
+    coordinate, the root subgroups I + c e_rc (r < c) composing U, the
+    permutation matrices W as a transposition chain, then U again."""
     def eye_with(r, c, v):
         return _linear(k, n, [[v if (i, j) == (r, c) else int(i == j)
                                for j in range(n)] for i in range(n)])
-    return ([eye_with(r, c, 1) for r in range(n) for c in range(n) if r != c]
-            + [eye_with(0, 0, u) for u in range(2, k) if n])
-
-
-def _swap_and_cycle(k: int) -> tuple[list[int], list[int]]:
-    return [1, 0, *range(2, k)], [(v + 1) % k for v in range(k)]
+    roots = [[eye_with(r, c, v) for v in range(1, k)]
+             for r in range(n) for c in range(r + 1, n)]
+    return ([[eye_with(i, i, u) for u in range(2, k)] for i in range(n)]
+            + roots
+            + _chain(n, lambda p: _linear(k, n, [_unit(n, r) for r in p]))
+            + roots)
 
 
 class _Part(NamedTuple):
-    """A factor of groups on P_k^n: order, element at an index, generators."""
+    """A part of groups on P_k^n: order, element at an index, and factors:
+    lists of non-identity elements such that every element of the part
+    composes one element or the identity of each list."""
     order: Callable[[int, int], int]
     element: Callable[[int, int, int], Transformation]
-    generators: Callable[[int, int], list[Transformation]]
+    factors: Callable[[int, int], list[list[Transformation]]]
 
 
 _PARTS = {
-    # variable permutations, lexicographic; adjacent transpositions
+    # variable permutations, lexicographic
     "s": _Part(lambda k, n: math.factorial(n),
                lambda k, n, i: var_perm(k, n, _nth_permutation(
                    range(1, n + 1), i)),
-               lambda k, n: [var_perm(k, n, [*range(1, i), i + 1, i,
-                                             *range(i + 2, n + 1)])
-                             for i in range(1, n)]),
+               lambda k, n: _chain(n, lambda p: var_perm(
+                   k, n, [v + 1 for v in p]))),
     # argument translations f(x + c), c in `itertools.product` order
     "ca": _Part(lambda k, n: k ** n,
                 lambda k, n, i: arg_translate(k, n, _mixed_digits(i, [k] * n)),
-                lambda k, n: [arg_translate(k, n, _unit(n, i))
-                              for i in range(n)]),
+                lambda k, n: _multiples(k, n, lambda c: arg_translate(k, n, c))),
     # output translations f + d
     "cf": _Part(lambda k, n: k,
                 lambda k, n, i: output_translate(k, n, i),
-                lambda k, n: [output_translate(k, n, 1)]),
+                lambda k, n: [[output_translate(k, n, d) for d in range(1, k)]]),
     # added linear functions f + a^t x
     "lf": _Part(lambda k, n: k ** n,
                 lambda k, n, i: add_linear(k, n, _mixed_digits(i, [k] * n)),
-                lambda k, n: [add_linear(k, n, _unit(n, i))
-                              for i in range(n)]),
+                lambda k, n: _multiples(k, n, lambda a: add_linear(k, n, a))),
     # linear maps f(xA), A nonsingular (k prime)
     "lg": _Part(lambda k, n: math.prod(k ** n - k ** i for i in range(n)),
                 lambda k, n, i: _linear(k, n, _nth_invertible(n, k, i)),
-                _lg_generators),
+                _lg_factors),
     # output multiplications u * f by the units u = 1, ..., k - 1 (k prime)
     "units": _Part(lambda k, n: k - 1,
                    lambda k, n, i: output_map(k, n, [(i + 1) * v % k
                                                      for v in range(k)]),
-                   lambda k, n: [output_map(k, n, [u * v % k for v in range(k)])
-                                 for u in range(2, k)]),
+                   lambda k, n: [[output_map(k, n, [u * v % k
+                                                    for v in range(k)])
+                                  for u in range(2, k)]]),
     # a value permutation on every variable, n lexicographic ranks
     "vals": _Part(lambda k, n: math.factorial(k) ** n,
                   lambda k, n, i: var_perm_value_maps(
                       k, n, range(1, n + 1),
                       [_nth_permutation(range(k), r)
                        for r in _mixed_digits(i, [math.factorial(k)] * n)]),
-                  lambda k, n: [var_perm_value_maps(
-                      k, n, range(1, n + 1),
-                      [s if j == i else range(k) for j in range(n)])
-                      for i in range(n) for s in _swap_and_cycle(k)]),
+                  lambda k, n: [factor for i in range(n) for factor in _chain(
+                      k, lambda s, i=i: var_perm_value_maps(
+                          k, n, range(1, n + 1),
+                          [s if j == i else range(k) for j in range(n)]))]),
     # output value permutations sigma . f, lexicographic
     "outs": _Part(lambda k, n: math.factorial(k),
                   lambda k, n, i: output_map(k, n, _nth_permutation(range(k), i)),
-                  lambda k, n: [output_map(k, n, s) for s in _swap_and_cycle(k)]),
+                  lambda k, n: _chain(k, lambda s: output_map(k, n, s))),
 }
 
-# each group's parts, in generator order; an element composes one element
+# each group's parts, in factor order; an element composes one element
 # of every part, first part outermost
 _GROUPS = {
     "s": ("s",), "ca": ("ca",), "g": ("s", "ca"), "ge": ("s", "ca", "cf"),
@@ -392,21 +402,35 @@ def group_elements(gd: GroupDescriptor) -> Iterator[Transformation]:
 
 
 def group_generators(gd: GroupDescriptor) -> list[Transformation]:
-    """A small generating set (used by the orbit scans); a new list per call."""
-    return list(_generators(gd))
+    """Every factor's elements in turn, which generate the group (the
+    identity alone for a trivial group); a new list per call."""
+    gens = [t for factor in _action(tuple, gd) for t in factor]
+    return gens or [identity(gd.k, gd.n)]
 
 
-@functools.lru_cache(maxsize=64)
-def _generators(gd: GroupDescriptor) -> tuple[Transformation, ...]:
-    gens = [t for part in _parts(gd) for t in part.generators(gd.k, gd.n)]
-    return tuple(gens or [identity(gd.k, gd.n)])
+@functools.lru_cache(maxsize=256)
+def _part_action(build, part: str, k: int, n: int) -> tuple:
+    """`build` of each of a part's non-empty factors on P_k^n (`tuple`: the
+    factors), made once per space and shared by the groups with the part."""
+    factors = (_PARTS[part].factors(k, n) if build is tuple
+               else _part_action(tuple, part, k, n))
+    return tuple(build(factor) for factor in factors if factor)
+
+
+def _action(build, gd: GroupDescriptor) -> tuple:
+    """`build` of each of the group's factors, its parts' in turn: every
+    group element composes one element or the identity of each factor, in
+    this order or reversed (each factor with the identity is closed under
+    inverses)."""
+    return tuple(x for part in _GROUPS[gd.name]
+                 for x in _part_action(build, part, gd.k, gd.n))
 
 
 # ---------------------------------------------------------------------------
 # orbits
 # ---------------------------------------------------------------------------
 
-ID_TABLE = 256  # entries per partial-sum table of a generator's id action
+ID_TABLE = 256  # entries per partial-sum table of an element's id action
 ID_SPACE = 1 << 63  # the largest space whose function ids all fit intp
 
 
@@ -432,83 +456,64 @@ def _id_tables(t: Transformation) -> list[np.ndarray]:
             for lo in range(0, cells, c)][::-1]
 
 
-@functools.lru_cache(maxsize=64)
-def _id_action(gd: GroupDescriptor) -> tuple[np.ndarray, ...]:
-    """Every generator's `_id_tables`, per chunk (highest cells first) one
-    read-only (generators, k^c) array; only for spaces of at most ID_SPACE
-    functions, where the sums cannot overflow."""
-    parts = tuple(np.stack(chunk)
-                  for chunk in zip(*map(_id_tables, _generators(gd))))
-    for part in parts:
-        part.flags.writeable = False
-    return parts
+def _readonly(arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _id_images(ids: np.ndarray, gd: GroupDescriptor) -> np.ndarray:
-    """The ids of the images of `ids` under every generator: per chunk of
-    cells one digit of each id, looked up in every generator's table."""
+def _id_action(factor) -> tuple[np.ndarray, ...]:
+    """A factor's elements' `_id_tables` stacked per chunk (highest cells
+    first) into read-only (elements, k^c) arrays; only for spaces of at
+    most ID_SPACE functions, where the sums cannot overflow."""
+    return _readonly(tuple(map(np.stack, zip(*map(_id_tables, factor)))))
+
+
+def _id_images(ids: np.ndarray, factor) -> np.ndarray:
+    """The ids of the images of `ids` under a factor's elements: per chunk
+    of cells one digit of each id, looked up in every element's table."""
     images = 0
-    for part in reversed(_id_action(gd)):
+    for part in reversed(factor):
         images = images + part[:, ids % part.shape[1]]
         ids = ids // part.shape[1]
     return images.ravel()
 
 
-@functools.lru_cache(maxsize=64)
-def _row_action(gd: GroupDescriptor) -> tuple[np.ndarray, ...]:
-    """Every generator's domain maps, its out_maps flat ((g, x, v) at
-    (g * cells + x) * k + v) and each (g, x)'s offset into them, read-only."""
-    k, cells = gd.k, gd.k ** gd.n
-    gens = _generators(gd)
-    doms = np.concatenate([np.asarray(t.domain_map, np.intp) for t in gens])
-    outs = np.concatenate([np.asarray(t.out_maps, np.uint8).ravel()
-                           for t in gens])
-    slots = np.arange(0, len(gens) * cells * k, k, dtype=np.int32)
-    for array in (doms, outs, slots):
-        array.flags.writeable = False
-    return doms, outs, slots
+def _row_action(factor) -> tuple[np.ndarray, ...]:
+    """Read-only: a factor's elements' domain maps, their out_maps as one
+    (elements, cells, k) array and each (element g, cell x)'s offset
+    (g * cells + x) * k into it, flat."""
+    k, cells = factor[0].k, len(factor[0].domain_map)
+    return _readonly((
+        np.concatenate([np.asarray(t.domain_map, np.intp) for t in factor]),
+        np.array([t.out_maps for t in factor], np.uint8),
+        np.arange(0, len(factor) * cells * k, k, dtype=np.int32)))
 
 
-def _row_images(keys: np.ndarray, gd: GroupDescriptor) -> np.ndarray:
+def _row_images(keys: np.ndarray, factor) -> np.ndarray:
     """The `bitops.row_keys` of the images of the tables with these keys
-    under every generator, one gather for all of them."""
-    k, cells = gd.k, gd.k ** gd.n
-    doms, outs, slots = _row_action(gd)
+    under a factor's elements, one gather for all of them."""
+    doms, outs, slots = factor
+    cells, k = outs.shape[1:]
     rows = bitops.key_rows(keys, cells)
-    return bitops.row_keys(outs[rows[:, doms] + slots].reshape(-1, cells), k)
+    return bitops.row_keys(
+        outs.reshape(-1)[rows[:, doms] + slots].reshape(-1, cells), k)
 
 
-def _closure(start: np.ndarray, images, gd: GroupDescriptor,
-             max_orbit: int) -> np.ndarray:
-    """Every key reachable from the one key `start` by `images`, ascending.
-
-    A frontier BFS: each level's images are sorted, equal neighbours are
-    masked out, and the keys not yet seen (looked up among the sorted seen
-    keys) are the next frontier.  Raises OrbitBudgetError once more than
-    `max_orbit` keys are seen.
-    """
-    seen = frontier = start
-    while True:
-        found = np.sort(images(frontier, gd))
-        distinct = np.ones(found.size, bool)
-        distinct[1:] = found[1:] != found[:-1]
-        found = found[distinct]
-        at = np.minimum(np.searchsorted(seen, found), seen.size - 1)
-        frontier = found[seen[at] != found]
-        if not frontier.size:
-            return seen
-        seen = np.sort(np.concatenate([seen, frontier]))
-        if seen.size > max_orbit:
+def _expand(keys: np.ndarray, images, action, max_orbit: int) -> np.ndarray:
+    """Every key `images` reaches from `keys` through each factor of
+    `action` in turn, ascending: the images of the keys so far join them,
+    sorted, equal neighbours masked out.  From one key that is t_r ... t_1
+    of it over one element or the identity per factor, its orbit.  Raises
+    OrbitBudgetError once more than `max_orbit` keys are held."""
+    for factor in action:
+        keys = np.sort(np.concatenate([keys, images(keys, factor)]))
+        distinct = np.ones(keys.size, bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
+        if keys.size > max_orbit:
             raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
-
-
-def _id_bfs(f: KFunction, gd: GroupDescriptor, max_orbit: int) -> np.ndarray:
-    return _closure(np.array([f.id], np.intp), _id_images, gd, max_orbit)
-
-
-def _row_bfs(f: KFunction, gd: GroupDescriptor, max_orbit: int) -> np.ndarray:
-    table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
-    return _closure(bitops.row_keys(table, gd.k), _row_images, gd, max_orbit)
+    return keys
 
 
 def orbit_keys(f: KFunction, gd: GroupDescriptor,
@@ -516,18 +521,23 @@ def orbit_keys(f: KFunction, gd: GroupDescriptor,
     """f's orbit, ascending: the function ids (intp) on spaces of at most
     ID_SPACE functions, the `bitops.row_keys` of the tables above that.
 
-    The orbit is expanded breadth-first from the generators; `max_orbit`
-    bounds the expansion.
+    The orbit is expanded one factor of the group at a time (`_expand`);
+    `max_orbit` bounds the expansion.
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
-    bfs = _id_bfs if space_size(gd.k, gd.n, ID_SPACE) else _row_bfs
-    return bfs(f, gd, max_orbit)
+    if space_size(gd.k, gd.n, ID_SPACE):
+        return _expand(np.array([f.id], np.intp), _id_images,
+                       _action(_id_action, gd), max_orbit)
+    table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
+    return _expand(bitops.row_keys(table, gd.k), _row_images,
+                   _action(_row_action, gd), max_orbit)
 
 
 def canonical_form(f: KFunction, gd: GroupDescriptor,
                    max_orbit: int = 1 << 22) -> KFunction:
-    """Orbit element with the smallest table id (the k-ary numeral reading).
+    """Orbit element with the smallest table id (the k-ary numeral reading),
+    the least key of `orbit_keys`.
 
     Two functions are G-equivalent iff their canonical forms coincide.
     """
@@ -544,40 +554,30 @@ def orbit_partition(gd: GroupDescriptor,
                     max_space: int = 1 << 22) -> np.ndarray:
     """Orbit label (the orbit's minimal function id) for every id in the space.
 
-    Min-label propagation: every id starts as its own label, and each round
-    lowers a label to the label of its image under every generator, then
-    jumps pointers (lab = lab[lab]).  A label only ever falls to another id
-    of the same orbit.  Images alone reach the whole orbit, since a
-    generator's inverse is one of its powers, so the fixed point is the
-    orbit minimum.  Only each generator's `_id_tables` (a few KB, cached per
-    group) are kept; its intp id permutation is rebuilt from them each
-    round into one preallocated array, which is cheaper than holding every
-    permutation and than indexing with int32.  A round allocates no array
-    of the space's size: every gather writes into a preallocated one.
-    Labels only fall, so a round that keeps the label sum moved none (any
-    fall totals below 2^64, so the int64 sum may wrap).
+    One pass over the group's factors: every id starts as its own label,
+    and each factor element t lowers it to its image's (lab = min(lab,
+    lab[t x]), in place), so lab[x] ends as the least id of t_1 ... t_r x
+    over one element or the identity per factor: the whole group.  Each
+    element's intp id permutation is rebuilt from its cached `_id_tables`
+    into one preallocated array (cheaper than holding every permutation
+    and than indexing with int32) and gathered into another, so the pass
+    allocates no other array of the space's size.
     """
     size = space_size(gd.k, gd.n, max_space)
     if size is None:
         raise OrbitBudgetError(f"P_{gd.k}^{gd.n} has more functions than the "
                                f"scan budget {max_space}")
-    parts = _id_action(gd)
     lab = np.arange(size, dtype=np.intp)
     spare, perm = np.empty_like(lab), np.empty_like(lab)
-    total = int(lab.sum())
-    while True:
-        for g in range(parts[0].shape[0]):  # one generator at a time
-            *head, last = [part[g] for part in parts]
+    for factor in _action(_id_action, gd):
+        for tables in zip(*factor):  # one element at a time
+            *head, last = tables
             ids = last if not head else np.add.outer(
                 _outer_sum(head), last, out=perm.reshape(-1, last.size)).ravel()
             # ids are in range; "clip" keeps np.take from buffering `out`
             np.take(lab, ids, out=spare, mode="clip")
             np.minimum(lab, spare, out=lab)
-        np.take(lab, lab, out=spare, mode="clip")
-        lab, spare = spare, lab
-        total, before = int(lab.sum()), total
-        if total == before:
-            return lab.astype(np.int64, copy=False)
+    return lab.astype(np.int64, copy=False)
 
 
 def orbit_minima(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import fnclass
 from fnclass.cli import main
 
 
@@ -209,6 +214,19 @@ class TestTables:
                                "--format", "json")
         payload = json.loads(out)
         assert payload["ok"] is True
+
+    def test_module_entry_point_figure4_diff(self):
+        # `python -m fnclass` runs the CLI in a fresh interpreter; Figure 4
+        # counts the orbits of eight groups on P_2^3 and P_2^4
+        src = str(pathlib.Path(fnclass.__file__).parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fnclass", "tables", "--name", "figure4",
+             "--diff"], capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        assert proc.returncode == 0, proc.stderr
+        assert "figure4: all 8 rows match" in proc.stderr
+        assert proc.stdout.splitlines()[-1] == "g,22,402"
 
     def test_cache_dir_writes_nothing(self, capsys, tmp_path):
         args = ("tables", "--name", "table1", "--format", "json")

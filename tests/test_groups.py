@@ -8,8 +8,9 @@ import pytest
 
 from fnclass import bitops
 from fnclass.groups import (GROUP_NAMES, GroupDescriptor, OrbitBudgetError,
-                            Transformation, _generators, _id_bfs, _id_tables,
-                            _outer_sum, _row_bfs, add_linear, affine,
+                            Transformation, _PARTS, _action, _expand,
+                            _id_action, _id_images, _id_tables, _outer_sum,
+                            _row_action, _row_images, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
                             group_element, group_elements, group_generators,
                             identity, orbit_keys, orbit_partition,
@@ -196,10 +197,12 @@ class TestEnumeration:
     def test_generators_are_cached_copies(self):
         gd = GroupDescriptor("ge", 2, 3)
         first, second = group_generators(gd), group_generators(gd)
-        assert first == second == list(_generators.__wrapped__(gd))
+        assert all(a is b for a, b in zip(first, second))
+        elements = [t for factor in _action(tuple, gd) for t in factor]
+        assert first == second == elements
         first.clear()
         second.append(identity(2, 3))
-        assert group_generators(gd) == list(_generators.__wrapped__(gd))
+        assert group_generators(gd) == elements
 
     def test_unknown_group(self):
         with pytest.raises(ValueError):
@@ -383,11 +386,11 @@ class TestOrbitOracles:
 
     @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("g", 7, 1)])
     def test_partition_allocates_no_round_temporaries(self, name, k, n):
-        # the labels, a spare and the id permutation; the convergence test
-        # compares label sums, so a temporary of the space's size per
-        # generator step or per round would add a whole label array
+        # the labels, a spare and the id permutation; the pass keeps no
+        # other copy of the labels, so a temporary of the space's size per
+        # factor element would add a whole label array
         gd = GroupDescriptor(name, k, n)
-        orbit_partition(gd)  # build the cached generator tables
+        orbit_partition(gd)  # build the cached factor tables
         tracemalloc.start()
         try:
             labels = orbit_partition(gd)
@@ -401,9 +404,9 @@ class TestOrbitOracles:
                                           ("ge", 16, 1), ("g", 3, 3),
                                           ("cf", 2, 6)])
     def test_canonical_form_is_element_minimum(self, name, k, n):
-        # the id BFS runs up to 2^63 functions (P_2^5, P_15^1 and P_3^3);
-        # above, the row BFS keys P_2^6 on the packed id and P_16^1, P_2^7
-        # and P_3^4 on the row bytes, last cell first
+        # the id expansion runs up to 2^63 functions (P_2^5, P_15^1 and
+        # P_3^3); above, the row expansion keys P_2^6 on the packed id and
+        # P_16^1, P_2^7 and P_3^4 on the row bytes, last cell first
         gd = GroupDescriptor(name, k, n)
         rng = random.Random(7)
         f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
@@ -413,11 +416,12 @@ class TestOrbitOracles:
 
 
 class TestOrbitBfs:
+    # the orbit expansion, one factor at a time, on ids and on table rows
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_p25_ge_orbit_matches_scan5(self, seed):
         w = random.Random(seed).getrandbits(32)
         orbit = orbit_keys(KFunction.from_word(w, 5), GroupDescriptor("ge", 2, 5))
-        assert orbit.dtype == np.intp  # the id BFS
+        assert orbit.dtype == np.intp  # the id expansion
         assert orbit.tolist() == _orbit(w, _domain_maps(5)).tolist()
 
     @pytest.mark.parametrize("name,k,n", ORACLE_SPACES)
@@ -426,15 +430,22 @@ class TestOrbitBfs:
         rng = random.Random(f"{name}{k}{n}")
         for _ in range(3):
             f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
-            rows = bitops.key_rows(_row_bfs(f, gd, 1 << 22), k ** n)
+            table = np.frombuffer(f.values, np.uint8)[None, :]
+            rows = bitops.key_rows(_expand(bitops.row_keys(table, k),
+                                           _row_images,
+                                           _action(_row_action, gd),
+                                           1 << 22), k ** n)
             ids = rows.astype(np.intp) @ k ** np.arange(k ** n)
-            assert ids.tolist() == _id_bfs(f, gd, 1 << 22).tolist()
+            assert ids.tolist() == _expand(np.array([f.id], np.intp),
+                                           _id_images,
+                                           _action(_id_action, gd),
+                                           1 << 22).tolist()
 
 
 # -- the id permutations of the orbit partition, against Transformation.apply
 
 def _all_generators(k, n):
-    """The distinct generators of every group on P_k^n (k prime)."""
+    """The distinct factor elements of every group on P_k^n (k prime)."""
     gens = {t for name in GROUP_NAMES
             for t in group_generators(GroupDescriptor(name, k, n))}
     return sorted(gens, key=lambda t: (t.domain_map, t.out_maps))
@@ -455,3 +466,60 @@ class TestIdPermutations:
             assert (np.bincount(perm, minlength=size) == 1).all()
             expected = [t.apply(KFunction.from_id(x, k, n)).id for x in ids]
             assert perm[list(ids)].tolist() == expected, t
+
+
+# -- the factorizations behind both orbit passes, against group_elements
+
+def _products(factors, k, n):
+    """Every composition of one element or the identity per factor, the
+    first factor outermost."""
+    e = identity(k, n)
+    products = {e}
+    for factor in factors:
+        products = {p @ t for p in products for t in (e, *factor)}
+    return products
+
+
+class TestFactorizations:
+    # `orbit_partition` lowers x's label over t_1 ... t_r x and `orbit_keys`
+    # reaches t_r ... t_1 f, one element or the identity per factor: a
+    # factor that misses part of the group would give wrong labels silently
+    @pytest.mark.parametrize("name,k,n", [
+        (name, k, n) for k, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                  (5, 1), (7, 1))
+        for name in GROUP_NAMES if (name, k) != ("fullsym", 7)])
+    def test_factor_products_are_the_group(self, name, k, n):
+        gd = GroupDescriptor(name, k, n)
+        factors = _action(tuple, gd)
+        assert all(factors) and identity(k, n) not in set().union(*factors)
+        elements = set(group_elements(gd))
+        assert _products(factors, k, n) == elements
+        assert _products(factors[::-1], k, n) == elements
+
+    @pytest.mark.parametrize("part", ["s", "vals", "outs"])
+    def test_fullsym_parts_on_p71(self, part):
+        # fullsym on P_7^1 has 7!^2 elements, too many to list; it composes
+        # one element of each part, so its parts' products cover it
+        order, element, factors = _PARTS[part]
+        elements = {element(7, 1, i) for i in range(order(7, 1))}
+        factors = [factor for factor in factors(7, 1) if factor]
+        assert _products(factors, 7, 1) == elements
+        assert _products(factors[::-1], 7, 1) == elements
+
+    @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("fullsym", 3, 2),
+                                          ("axa1", 5, 1), ("g", 7, 1)])
+    def test_partition_gathers_once_per_factor_element(self, name, k, n,
+                                                        monkeypatch):
+        gd = GroupDescriptor(name, k, n)
+        labels = orbit_partition(gd)  # build the cached tables
+        take, gathers = np.take, []
+
+        def counted_take(*args, **kwargs):
+            gathers.append(args[1].size)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted_take)
+        assert orbit_partition(gd).tolist() == labels.tolist()
+        assert len(gathers) == sum(map(len, _action(tuple, gd))) == \
+            len(group_generators(gd))
+        assert gathers == [labels.size] * len(gathers)
