@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 verification/diff failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -75,6 +76,16 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _emit_json(args, payload, sort_keys: bool = False) -> None:
+    """`_emit` of `json.dumps(payload, indent=1, sort_keys=sort_keys)`,
+    streamed: `json.dump` writes the text piece by piece instead of
+    building it whole."""
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        json.dump(payload, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -116,7 +127,7 @@ def cmd_analyze(args) -> int:
         report["distributive_sets"] = sorted(sorted(j) for j in dis)
         report["s_systems"] = sorted(sorted(b) for b in sp.s_systems(dis))
     if args.format == "json":
-        _emit(args, json.dumps(report, indent=1, sort_keys=True))
+        _emit_json(args, report, sort_keys=True)
     else:
         lines = [f"f: k={f.k} n={f.n} table={report['table']}"]
         lines.append(f"  expression          {report['expression']}")
@@ -156,7 +167,7 @@ def cmd_classify(args) -> int:
         raise SystemExit2("exactly one of --relation/--group is required")
     report = classify_space(args.k, args.n, chosen[0], max_space=args.budget)
     if args.format == "json":
-        _emit(args, json.dumps(report.to_json_dict(), indent=1, sort_keys=True))
+        _emit_json(args, report.to_json_dict(), sort_keys=True)
     else:
         header = ClassificationReport.CSV_HEADER
         _emit(args, _csv_text(header, report.csv_rows()))
@@ -171,7 +182,7 @@ def cmd_tables(args) -> int:
         payload = {"name": result.name, "header": result.header,
                    "rows": result.rows, "ok": result.ok,
                    "diffs": result.diff_lines()}
-        _emit(args, json.dumps(payload, indent=1))
+        _emit_json(args, payload)
     else:
         _emit(args, _csv_text(result.header, result.rows))
     if args.diff:
@@ -190,7 +201,7 @@ def cmd_verify(args) -> int:
                      n_sampled=args.n, samples=args.samples, seed=args.seed,
                      mutant=args.mutant)
     if args.format == "json":
-        _emit(args, json.dumps(run.to_json_dict(), indent=1))
+        _emit_json(args, run.to_json_dict())
     else:
         _emit(args, "\n".join(r.line() for r in run.results))
     return EXIT_OK if run.ok else EXIT_VERIFY
@@ -202,7 +213,7 @@ def cmd_parse(args) -> int:
                "canonical": spform.to_sp(f),
                "essential": sorted(f.essential_set())}
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=1, sort_keys=True))
+        _emit_json(args, payload, sort_keys=True)
     else:
         _emit(args, "\n".join(f"{key}: {val}" for key, val in payload.items()))
     return EXIT_OK

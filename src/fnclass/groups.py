@@ -23,11 +23,18 @@ for symmetric groups (Sims), a factor per coordinate for translations,
 T U W U for GL(n, k) (Bruhat).  A group's factors are its parts' in turn,
 so a least id over the group is one sequential minimum per factor:
 `orbit_partition` lowers every id's label to its image's under each factor
-element once, and `orbit_keys`/`canonical_form` expand an orbit a factor at
-a time.  Both read an element's action on ids as partial-sum tables of at
-most ID_TABLE entries, cached per part and space (`_part_action`); above
-ID_SPACE = 2^63 functions (P_2^6, P_3^4, ...) ids no longer fit intp, and
-the expansion runs on `bitops.row_keys` of table rows.
+element once.  `orbit_keys`/`canonical_form` expand an orbit over merged
+factors (`_merged`): consecutive factors of one part merge into one factor
+of all their non-identity products for as long as it cannot exceed
+ID_TABLE = 256 elements (ge on P_2^5: 10 factors, 3 merged ones of 119, 31
+and 1 elements), so a round is one stacked lookup and one sort.  A merged
+factor is applied only while the keys so far times its elements plus one
+stay within `max_orbit`; otherwise its factors run one at a time, so the
+same orbits are refused.  Both passes read an element's action on ids as
+partial-sum tables of at most ID_TABLE entries, cached per part and space
+(`_part_action`, `_part_rounds`); above ID_SPACE = 2^63 functions (P_2^6,
+P_3^4, ...) ids no longer fit intp, and the expansion runs on
+`bitops.row_keys` of table rows.
 """
 
 from __future__ import annotations
@@ -410,11 +417,14 @@ def group_generators(gd: GroupDescriptor) -> list[Transformation]:
 
 @functools.lru_cache(maxsize=256)
 def _part_action(build, part: str, k: int, n: int) -> tuple:
-    """`build` of each of a part's non-empty factors on P_k^n (`tuple`: the
-    factors), made once per space and shared by the groups with the part."""
-    factors = (_PARTS[part].factors(k, n) if build is tuple
-               else _part_action(tuple, part, k, n))
-    return tuple(build(factor) for factor in factors if factor)
+    """`build` of the `_maps` of each of a part's non-empty factors on
+    P_k^n (`tuple`: the factors themselves), made once per space and shared
+    by the groups with the part."""
+    if build is tuple:
+        return tuple(tuple(factor) for factor in _PARTS[part].factors(k, n)
+                     if factor)
+    return tuple(build(_maps(factor))
+                 for factor in _part_action(tuple, part, k, n))
 
 
 def _action(build, gd: GroupDescriptor) -> tuple:
@@ -430,30 +440,83 @@ def _action(build, gd: GroupDescriptor) -> tuple:
 # orbits
 # ---------------------------------------------------------------------------
 
-ID_TABLE = 256  # entries per partial-sum table of an element's id action
+ID_TABLE = 256  # entries per partial-sum table, elements per merged factor
 ID_SPACE = 1 << 63  # the largest space whose function ids all fit intp
+
+
+def _maps(factor) -> tuple[np.ndarray, np.ndarray]:
+    """A factor's elements as arrays: their (elements, cells) intp domain
+    maps and (elements, cells, k) uint8 output maps."""
+    return (np.array([t.domain_map for t in factor], np.intp),
+            np.array([t.out_maps for t in factor], np.uint8))
+
+
+def _compose(outer, inner) -> tuple[np.ndarray, np.ndarray]:
+    """The `_maps` of t @ u for every t of `outer` and u of `inner`, t
+    slowest (`Transformation.__matmul__` on all pairs at once)."""
+    (t_dom, t_out), (u_dom, u_out) = outer, inner
+    elements, cells, k = t_out.shape
+    u, at = np.arange(len(u_dom))[:, None], t_dom[:, None]
+    out = t_out[np.arange(elements)[:, None, None, None],
+                np.arange(cells)[:, None], u_out[u, at]]
+    return u_dom[u, at].reshape(-1, cells), out.reshape(-1, cells, k)
+
+
+def _distinct(maps) -> tuple[np.ndarray, np.ndarray]:
+    """`_maps` with each element once, where it first occurs."""
+    dom, out = maps
+    rows = np.hstack([dom.view(np.uint8).reshape(len(dom), -1),
+                      out.reshape(len(out), -1)])
+    _, first = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))),
+                         return_index=True)
+    first.sort()
+    return dom[first], out[first]
+
+
+def _merged(part: str, k: int, n: int) -> list[tuple[tuple, slice]]:
+    """The expansion's factors of a part: runs of its consecutive factors,
+    each merged into one factor of every non-identity product t_j ... t_i
+    (one element or the identity of each factor, the later one outer)
+    while a merged factor cannot exceed ID_TABLE elements; per run, the
+    merged factor's `_maps` and the run's slice of the part's factors."""
+    factors = _part_action(tuple, part, k, n)
+    starts, runs = [], []
+    for i, factor in enumerate(factors):
+        dom, out = _maps(factor)
+        # the identity first, where it stays: the product of the identities
+        maps = (np.vstack([np.arange(dom.shape[1]), dom]),
+                np.vstack([np.broadcast_to(np.arange(k, dtype=np.uint8),
+                                           (1, *out.shape[1:])), out]))
+        if runs and len(runs[-1][0]) * len(maps[0]) <= ID_TABLE + 1:
+            runs[-1] = _distinct(_compose(maps, runs[-1]))
+        else:
+            starts.append(i)
+            runs.append(maps)
+    return [((dom[1:], out[1:]), slice(lo, hi)) for (dom, out), lo, hi
+            in zip(runs, starts, starts[1:] + [len(factors)])]
+
+
+@functools.lru_cache(maxsize=256)
+def _part_rounds(build, part: str, k: int, n: int) -> tuple:
+    """The expansion's rounds over a part's factors on P_k^n, one per run
+    of `_merged`: `build` of the merged factor, its number of elements and
+    a callable for `build` of each factor of the run (the cached
+    `_part_action`, made only if `_expand` falls back to it)."""
+    def factors(span):
+        return lambda: _part_action(build, part, k, n)[span]
+    return tuple((build(maps), len(maps[0]), factors(span))
+                 for maps, span in _merged(part, k, n))
+
+
+def _rounds(build, gd: GroupDescriptor) -> tuple:
+    """The expansion's rounds over the group's factors, its parts' in turn."""
+    return tuple(x for part in _GROUPS[gd.name]
+                 for x in _part_rounds(build, part, gd.k, gd.n))
 
 
 def _outer_sum(parts) -> np.ndarray:
     """Every sum of one entry per part, the first part most significant."""
     return functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), parts)
-
-
-def _id_tables(t: Transformation) -> list[np.ndarray]:
-    """t's action on ids as partial-sum tables, highest cells first.
-
-    t sends id = sum_s k^s v_s to sum_s W[s][v_s], where
-    W[s][v] = k^x out_maps[x][v] for the cell x with domain_map[x] = s.
-    The cells are grouped into chunks of c, the most with k^c <= ID_TABLE,
-    and each chunk's W rows are summed into one table of k^c entries, so
-    the id permutation is `_outer_sum` of the tables.
-    """
-    k, cells = t.k, len(t.domain_map)
-    x = np.argsort(t.domain_map)
-    w = np.asarray(t.out_maps, np.intp)[x] * k ** x[:, None]
-    c = next(c for c in itertools.count(1) if k ** (c + 1) > ID_TABLE)
-    return [_outer_sum(w[lo:lo + c][::-1])
-            for lo in range(0, cells, c)][::-1]
 
 
 def _readonly(arrays):
@@ -462,11 +525,37 @@ def _readonly(arrays):
     return arrays
 
 
-def _id_action(factor) -> tuple[np.ndarray, ...]:
-    """A factor's elements' `_id_tables` stacked per chunk (highest cells
-    first) into read-only (elements, k^c) arrays; only for spaces of at
-    most ID_SPACE functions, where the sums cannot overflow."""
-    return _readonly(tuple(map(np.stack, zip(*map(_id_tables, factor)))))
+def _id_action(maps) -> tuple[np.ndarray, ...]:
+    """A factor's elements' actions on ids as partial-sum tables: one
+    read-only (elements, k^c) array per chunk of c cells, highest first.
+
+    An element sends id = sum_s k^s v_s to sum_s W[s][v_s], where
+    W[s][v] = k^x out[x][v] for the cell x with dom[x] = s.  The cells are
+    grouped into chunks of c, the most with k^c <= ID_TABLE, and each
+    chunk's W rows are summed into one table of k^c entries, so an
+    element's id permutation is `_outer_sum` of its tables.  Only for
+    spaces of at most ID_SPACE functions, where the sums cannot overflow.
+    """
+    dom, out = maps
+    elements, cells, k = out.shape
+    x = np.argsort(dom, axis=1)
+    w = out[np.arange(elements)[:, None], x] * (k ** np.arange(cells))[x, None]
+    c = next(c for c in itertools.count(1) if k ** (c + 1) > ID_TABLE)
+    tables = []
+    for lo in range(0, cells, c):
+        hi = min(lo + c, cells)
+        mid = (lo + hi) // 2  # a chunk's table: the outer sum of its halves'
+        tables.append((_digit_sums(w[:, mid:hi])[:, :, None]
+                       + _digit_sums(w[:, lo:mid])[:, None]).reshape(
+                           elements, -1))
+    return _readonly(tuple(tables[::-1]))
+
+
+def _digit_sums(w: np.ndarray) -> np.ndarray:
+    """(elements, k^m) for an (elements, m, k) array: at each cell of m
+    digits v_j, the sum over j of w[:, j, v_j] (one gather for all)."""
+    m, k = w.shape[1:]
+    return w[:, np.arange(m)[:, None], bitops.cell_digits(k, m)].sum(axis=1)
 
 
 def _id_images(ids: np.ndarray, factor) -> np.ndarray:
@@ -479,15 +568,14 @@ def _id_images(ids: np.ndarray, factor) -> np.ndarray:
     return images.ravel()
 
 
-def _row_action(factor) -> tuple[np.ndarray, ...]:
-    """Read-only: a factor's elements' domain maps, their out_maps as one
-    (elements, cells, k) array and each (element g, cell x)'s offset
-    (g * cells + x) * k into it, flat."""
-    k, cells = factor[0].k, len(factor[0].domain_map)
-    return _readonly((
-        np.concatenate([np.asarray(t.domain_map, np.intp) for t in factor]),
-        np.array([t.out_maps for t in factor], np.uint8),
-        np.arange(0, len(factor) * cells * k, k, dtype=np.int32)))
+def _row_action(maps) -> tuple[np.ndarray, ...]:
+    """Read-only: a factor's elements' domain maps, flat, their output maps
+    and each (element g, cell x)'s offset (g * cells + x) * k into those,
+    flat."""
+    dom, out = maps
+    elements, cells, k = out.shape
+    return _readonly((dom.ravel(), out,
+                      np.arange(0, elements * cells * k, k, dtype=np.int32)))
 
 
 def _row_images(keys: np.ndarray, factor) -> np.ndarray:
@@ -500,19 +588,24 @@ def _row_images(keys: np.ndarray, factor) -> np.ndarray:
         outs.reshape(-1)[rows[:, doms] + slots].reshape(-1, cells), k)
 
 
-def _expand(keys: np.ndarray, images, action, max_orbit: int) -> np.ndarray:
-    """Every key `images` reaches from `keys` through each factor of
-    `action` in turn, ascending: the images of the keys so far join them,
-    sorted, equal neighbours masked out.  From one key that is t_r ... t_1
-    of it over one element or the identity per factor, its orbit.  Raises
-    OrbitBudgetError once more than `max_orbit` keys are held."""
-    for factor in action:
-        keys = np.sort(np.concatenate([keys, images(keys, factor)]))
-        distinct = np.ones(keys.size, bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        keys = keys[distinct]
-        if keys.size > max_orbit:
-            raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
+def _expand(keys: np.ndarray, images, rounds, max_orbit: int) -> np.ndarray:
+    """Every key `images` reaches from `keys` through each round of
+    `_rounds` in turn, ascending: the images of the keys so far join them,
+    sorted, equal neighbours masked out.  A round takes its merged factor
+    while the keys so far times its elements plus one stay within
+    `max_orbit`, else its factors one at a time; both reach the same keys.
+    From one key that is t_r ... t_1 of it over one element or the
+    identity per factor, its orbit.  Raises OrbitBudgetError once more
+    than `max_orbit` keys are held."""
+    for merged, elements, factors in rounds:
+        for factor in ((merged,) if keys.size * (elements + 1) <= max_orbit
+                       else factors()):
+            keys = np.sort(np.concatenate([keys, images(keys, factor)]))
+            distinct = np.ones(keys.size, bool)
+            distinct[1:] = keys[1:] != keys[:-1]
+            keys = keys[distinct]
+            if keys.size > max_orbit:
+                raise OrbitBudgetError(f"orbit exceeds {max_orbit} functions")
     return keys
 
 
@@ -521,17 +614,17 @@ def orbit_keys(f: KFunction, gd: GroupDescriptor,
     """f's orbit, ascending: the function ids (intp) on spaces of at most
     ID_SPACE functions, the `bitops.row_keys` of the tables above that.
 
-    The orbit is expanded one factor of the group at a time (`_expand`);
+    The orbit is expanded over the group's merged factors (`_expand`);
     `max_orbit` bounds the expansion.
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
     if space_size(gd.k, gd.n, ID_SPACE):
         return _expand(np.array([f.id], np.intp), _id_images,
-                       _action(_id_action, gd), max_orbit)
+                       _rounds(_id_action, gd), max_orbit)
     table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
     return _expand(bitops.row_keys(table, gd.k), _row_images,
-                   _action(_row_action, gd), max_orbit)
+                   _rounds(_row_action, gd), max_orbit)
 
 
 def canonical_form(f: KFunction, gd: GroupDescriptor,
@@ -558,10 +651,10 @@ def orbit_partition(gd: GroupDescriptor,
     and each factor element t lowers it to its image's (lab = min(lab,
     lab[t x]), in place), so lab[x] ends as the least id of t_1 ... t_r x
     over one element or the identity per factor: the whole group.  Each
-    element's intp id permutation is rebuilt from its cached `_id_tables`
-    into one preallocated array (cheaper than holding every permutation
-    and than indexing with int32) and gathered into another, so the pass
-    allocates no other array of the space's size.
+    element's intp id permutation is rebuilt from its cached `_id_action`
+    tables into one preallocated array (cheaper than holding every
+    permutation and than indexing with int32) and gathered into another,
+    so the pass allocates no other array of the space's size.
     """
     size = space_size(gd.k, gd.n, max_space)
     if size is None:
@@ -592,10 +685,13 @@ def orbit_transversal(gd: GroupDescriptor,
                       max_space: int = 1 << 22) -> list[tuple[KFunction, int]]:
     """One (representative, orbit size) pair per orbit, ascending by id."""
     minima, sizes = orbit_minima(orbit_partition(gd, max_space=max_space))
-    return [(KFunction.from_id(r, gd.k, gd.n), c)
-            for r, c in zip(minima.tolist(), sizes.tolist())]
+    tables = bitops.tables_from_ids(minima, gd.k, gd.n)
+    return [(KFunction(gd.k, gd.n, table.tobytes()), c)
+            for table, c in zip(tables, sizes.tolist())]
 
 
 def count_orbits(gd: GroupDescriptor, max_space: int = 1 << 22) -> int:
-    """t(G): the number of orbits of the group on the whole function space."""
-    return int(orbit_minima(orbit_partition(gd, max_space=max_space))[0].size)
+    """t(G): the number of orbits of the group on the whole function space,
+    the ids that are their own label."""
+    labels = orbit_partition(gd, max_space=max_space)
+    return int(np.count_nonzero(labels == np.arange(labels.size)))

@@ -164,6 +164,20 @@ class TestClassify:
         assert out == fresh
         assert path.read_text() == json.dumps(cached)
 
+    def test_json_is_the_dumps_text(self, capsys, tmp_path):
+        # the report is streamed with json.dump, not built as one string;
+        # stdout and --out both get json.dumps' text and one newline
+        from fnclass.classify import classify_space
+        args = ("classify", "--k", "2", "--n", "2", "--group", "g",
+                "--format", "json")
+        text = json.dumps(classify_space(2, 2, "g").to_json_dict(),
+                          indent=1, sort_keys=True) + "\n"
+        assert run_cli(capsys, *args) == (0, text, "6 classes over 16 "
+                                          "functions\n")
+        path = tmp_path / "report.json"
+        assert run_cli(capsys, *args, "--out", str(path))[:2] == (0, "")
+        assert path.read_text() == text
+
     def test_group_relation(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", "--k", "2", "--n", "2",
                                  "--relation", "ge",

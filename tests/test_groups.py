@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fnclass import bitops
-from fnclass.groups import (GROUP_NAMES, GroupDescriptor, OrbitBudgetError,
-                            Transformation, _PARTS, _action, _expand,
-                            _id_action, _id_images, _id_tables, _outer_sum,
-                            _row_action, _row_images, add_linear, affine,
+from fnclass import bitops, groups
+from fnclass.groups import (GROUP_NAMES, GroupDescriptor, ID_TABLE,
+                            OrbitBudgetError, Transformation, _GROUPS, _PARTS,
+                            _action, _expand, _id_action, _id_images, _maps,
+                            _merged, _outer_sum, _rounds, _row_action,
+                            _row_images, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
                             group_element, group_elements, group_generators,
                             identity, orbit_keys, orbit_partition,
@@ -209,7 +210,7 @@ class TestEnumeration:
             GroupDescriptor("npn", 2, 2)
 
     def test_radix_below_two(self):
-        # at k = 1 `_id_tables` would look for a chunk size forever
+        # at k = 1 `_id_action` would look for a chunk size forever
         with pytest.raises(ValueError, match="radix"):
             GroupDescriptor("g", 1, 0)
 
@@ -250,6 +251,30 @@ class TestCanonicalForm:
             KFunction(3, 4, bytes(range(3)) * 27)
         with pytest.raises(OrbitBudgetError):
             canonical_form(x4, GroupDescriptor("s", 3, 4), max_orbit=3)
+
+    def test_budget_id_fallback(self, monkeypatch):
+        # parity on P_2^5 is symmetric and every translation by a unit
+        # vector complements it, so its ge-orbit is {f, ~f}; from one key
+        # the merged s (119 elements) and ca (31) factors exceed
+        # max_orbit = 2, so all 10 factors run one at a time
+        ge = GroupDescriptor("ge", 2, 5)
+        parity = KFunction.from_word(0x96696996, 5)
+        rounds = []
+
+        def counted_images(ids, factor):
+            rounds.append(len(factor[0]))
+            return _id_images(ids, factor)
+
+        monkeypatch.setattr(groups, "_id_images", counted_images)
+        assert orbit_keys(parity, ge).tolist() == [0x69969669, 0x96696996]
+        assert rounds == [119, 31, 1]
+        rounds.clear()
+        assert orbit_keys(parity, ge, max_orbit=2).tolist() == \
+            [0x69969669, 0x96696996]
+        assert rounds == [1, 2, 3, 4, 1, 1, 1, 1, 1, 1]
+        assert canonical_form(parity, ge, max_orbit=2).id == 0x69969669
+        with pytest.raises(OrbitBudgetError):
+            canonical_form(parity, ge, max_orbit=1)
 
 
 class TestOrbits:
@@ -416,7 +441,7 @@ class TestOrbitOracles:
 
 
 class TestOrbitBfs:
-    # the orbit expansion, one factor at a time, on ids and on table rows
+    # the orbit expansion over merged factors, on ids and on table rows
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_p25_ge_orbit_matches_scan5(self, seed):
         w = random.Random(seed).getrandbits(32)
@@ -433,13 +458,25 @@ class TestOrbitBfs:
             table = np.frombuffer(f.values, np.uint8)[None, :]
             rows = bitops.key_rows(_expand(bitops.row_keys(table, k),
                                            _row_images,
-                                           _action(_row_action, gd),
+                                           _rounds(_row_action, gd),
                                            1 << 22), k ** n)
             ids = rows.astype(np.intp) @ k ** np.arange(k ** n)
             assert ids.tolist() == _expand(np.array([f.id], np.intp),
                                            _id_images,
-                                           _action(_id_action, gd),
+                                           _rounds(_id_action, gd),
                                            1 << 22).tolist()
+
+    @pytest.mark.parametrize("name", GROUP_NAMES)
+    def test_forms_match_labels_on_p24(self, name):
+        # lg on P_2^4 merges its 15 factors in runs of 7, 6 and 2 whose
+        # products are not closed under inverses, so a run composed in the
+        # wrong order reaches other keys; the label pass checks the forms
+        # through the unmerged factors
+        gd = GroupDescriptor(name, 2, 4)
+        labels = orbit_partition(gd)
+        for x in random.Random(name).sample(range(labels.size), 20):
+            f = KFunction.from_id(x, 2, 4)
+            assert canonical_form(f, gd).id == labels[x]
 
 
 # -- the id permutations of the orbit partition, against Transformation.apply
@@ -461,7 +498,7 @@ class TestIdPermutations:
         ids = (range(size) if size <= 20_000
                else random.Random(f"{k}{n}").sample(range(size), 2000))
         for t in _all_generators(k, n):
-            perm = _outer_sum(_id_tables(t))
+            perm = _outer_sum(table[0] for table in _id_action(_maps([t])))
             assert perm.shape == (size,) and perm.dtype == np.intp
             assert (np.bincount(perm, minlength=size) == 1).all()
             expected = [t.apply(KFunction.from_id(x, k, n)).id for x in ids]
@@ -480,31 +517,67 @@ def _products(factors, k, n):
     return products
 
 
+def _factors(which, parts, k, n):
+    """The labelling pass's factors of these parts, or the expansion's
+    merged ones after checking each merges its run of labelling factors."""
+    factors = []
+    for part in parts:
+        labelling = [list(f) for f in _PARTS[part].factors(k, n) if f]
+        if which == "labelling":
+            factors += labelling
+            continue
+        e = identity(k, n)
+        for merged, span in _merged(part, k, n):
+            elements = [Transformation(k, n, dom, out) for dom, out
+                        in zip(merged[0].tolist(), merged[1].tolist())]
+            # every non-identity product of the run, the later factor outer
+            assert len(set(elements)) == len(elements) <= ID_TABLE
+            run = labelling[span][::-1]
+            assert set(elements) == _products(run, k, n) - {e}
+            factors.append(elements)
+    return factors
+
+
+def _both(cases):
+    """Each case for the labelling factors (under its own id) and for the
+    merged expansion factors."""
+    return ([pytest.param("labelling", *case, id="-".join(map(str, case)))
+             for case in cases]
+            + [pytest.param("expansion", *case,
+                            id="-".join(map(str, ("expansion", *case))))
+               for case in cases])
+
+
 class TestFactorizations:
     # `orbit_partition` lowers x's label over t_1 ... t_r x and `orbit_keys`
-    # reaches t_r ... t_1 f, one element or the identity per factor: a
-    # factor that misses part of the group would give wrong labels silently
-    @pytest.mark.parametrize("name,k,n", [
+    # reaches t_r ... t_1 f, one element or the identity per (merged)
+    # factor: a factor that misses part of the group would give wrong
+    # labels or forms silently
+    @pytest.mark.parametrize("which,name,k,n", _both([
         (name, k, n) for k, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                   (5, 1), (7, 1))
-        for name in GROUP_NAMES if (name, k) != ("fullsym", 7)])
-    def test_factor_products_are_the_group(self, name, k, n):
+        for name in GROUP_NAMES if (name, k) != ("fullsym", 7)]))
+    def test_factor_products_are_the_group(self, which, name, k, n):
         gd = GroupDescriptor(name, k, n)
-        factors = _action(tuple, gd)
+        factors = _factors(which, _GROUPS[name], k, n)
         assert all(factors) and identity(k, n) not in set().union(*factors)
         elements = set(group_elements(gd))
-        assert _products(factors, k, n) == elements
         assert _products(factors[::-1], k, n) == elements
+        if which == "labelling":
+            assert factors == [list(f) for f in _action(tuple, gd)]
+            assert _products(factors, k, n) == elements
 
-    @pytest.mark.parametrize("part", ["s", "vals", "outs"])
-    def test_fullsym_parts_on_p71(self, part):
+    @pytest.mark.parametrize("which,part", _both([("s",), ("vals",),
+                                                  ("outs",)]))
+    def test_fullsym_parts_on_p71(self, which, part):
         # fullsym on P_7^1 has 7!^2 elements, too many to list; it composes
         # one element of each part, so its parts' products cover it
-        order, element, factors = _PARTS[part]
+        order, element, _ = _PARTS[part]
         elements = {element(7, 1, i) for i in range(order(7, 1))}
-        factors = [factor for factor in factors(7, 1) if factor]
-        assert _products(factors, 7, 1) == elements
+        factors = _factors(which, [part], 7, 1)
         assert _products(factors[::-1], 7, 1) == elements
+        if which == "labelling":
+            assert _products(factors, 7, 1) == elements
 
     @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("fullsym", 3, 2),
                                           ("axa1", 5, 1), ("g", 7, 1)])
