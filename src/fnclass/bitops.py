@@ -11,10 +11,19 @@ view of the row keys, and `sep_counts` sums a byte table of the masks
 present over popcount-ordered columns, so neither gathers nor builds a
 one-hot matrix.
 
+The lattice holds row keys only (`row_keys`, decoded by `key_rows`).  A
+table of k^n cells at b bits per cell, b the least of 1, 2, 4 and 8 that
+holds k-1, is one unsigned word when k^n * b <= 64 (every binary table up
+to n = 6, every ternary one up to n = 3), in the narrowest dtype that holds
+it; its cells with x_i = c sit c * b * k^(i-1) bits above those with
+x_i = 0.  Such lattices are built on the words: fixing x_i := c is a shift,
+an AND with the x_i = 0 field mask and a multiply that copies the field into
+every x_i digit.  Wider tables are built as uint8 rows and keyed by their
+bytes, last cell first.  Either key sorts like the table ids.
+
 A single table is also read as one little-endian Python int, 8 bits per
-cell, so the cells with x_i = c are the cells with x_i = 0 shifted up by
-c * k^(i-1) bytes.  `essential_mask` and `cofactor` work on that int and
-back `KFunction`'s own essential-variable and cofactor code, which stays
+cell, by the same shifts.  `essential_mask` and `cofactor` work on that int
+and back `KFunction`'s own essential-variable and cofactor code, which stays
 independent of the lattice it cross-checks.  `row_keys` is the one sort key
 of table rows, shared by the lattice and the orbit search in `groups`, and
 `cell_digits` the one per-cell digit table, shared by these kernels, the
@@ -32,8 +41,9 @@ import numpy as np
 BLOCK = 256
 #: Single-function lattices kept, so one function's measures share one.
 LATTICE_CACHE = 16
-#: Cells (functions x rows x table cells) one lattice may hold, about 128 MiB
-#: of uint8 tables; larger lattices raise MemoryError before allocating.
+#: Cells (functions x rows x table cells) one lattice may span, about 128 MiB
+#: of uint8 rows (the packed build holds far less, but refuses the same
+#: inputs); larger lattices raise MemoryError before allocating.
 LATTICE_CELLS = 1 << 27
 
 
@@ -90,34 +100,104 @@ def cofactor(values: bytes, k: int, n: int, i: int, c: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 class Lattice(NamedTuple):
-    """Restrictions of a batch of functions, with their essential masks."""
+    """Restrictions of a batch of functions, with their essential masks.
 
-    tables: np.ndarray  # (N, (k+1)^m, k^n) uint8, row 0 = the function
-    keys: np.ndarray    # (N, (k+1)^m), equal exactly where the tables are
+    Only the rows' `row_keys` are kept: one word per row at b bits per
+    cell (b the least of 1, 2, 4, 8 holding k-1) where k^n * b <= 64, the
+    row's bytes otherwise; `key_rows` decodes them into tables.
+    """
+
+    keys: np.ndarray    # (N, (k+1)^m) `row_keys`, row 0 = the function
     masks: np.ndarray   # (N, (k+1)^m) int64, bit i set iff x_{i+1} essential
     variables: tuple[int, ...]  # the m varied bits, lowest digit first
+
+
+def _cell_bits(k: int) -> int:
+    """Bits per cell of a packed table: the least of 1, 2, 4, 8 holding k-1."""
+    return next(b for b in (1, 2, 4, 8) if k <= 1 << b)
+
+
+@lru_cache(maxsize=64)
+def _word_dtype(k: int, cells: int) -> np.dtype | None:
+    """The narrowest unsigned dtype holding a packed table, None above 64 bits."""
+    bits = cells * _cell_bits(k)
+    return next((np.dtype(f"u{size}") for size in (1, 2, 4, 8)
+                 if bits <= 8 * size), None)
 
 
 def row_keys(rows: np.ndarray, k: int) -> np.ndarray:
     """One scalar per table row (last axis), ordered like the rows' ids.
 
-    Binary tables of 8 to 64 cells pack into their id as an unsigned int;
-    any other table is its bytes, last cell first, as a void scalar.
+    A table of at most 64 bits at `_cell_bits(k)` bits per cell packs into
+    an unsigned word, cell j at bit j * b; any other table is its bytes,
+    last cell first, as a void scalar.
     """
     cells = rows.shape[-1]
-    if k == 2 and cells in (8, 16, 32, 64):
-        packed = np.packbits(rows.reshape(-1), bitorder="little")
-        return packed.view(f"<u{cells // 8}").reshape(rows.shape[:-1])
-    return np.ascontiguousarray(rows[..., ::-1]).view(f"V{cells}")[..., 0]
+    word = _word_dtype(k, cells)
+    if word is None:
+        return np.ascontiguousarray(rows[..., ::-1]).view(f"V{cells}")[..., 0]
+    b = _cell_bits(k)
+    shifts = np.arange(0, cells * b, b, dtype=word)
+    return (rows.astype(word) << shifts).sum(axis=-1, dtype=word)
 
 
-def key_rows(keys: np.ndarray, cells: int) -> np.ndarray:
-    """(N, cells) uint8 table rows of N `row_keys` keys: its inverse."""
+def key_rows(keys: np.ndarray, k: int, cells: int) -> np.ndarray:
+    """The uint8 table rows of `row_keys` keys, shape keys.shape + (cells,)."""
     if keys.dtype.kind == "V":
-        return keys.view(np.uint8).reshape(-1, cells)[:, ::-1]
-    packed = keys.astype(f"<u{cells // 8}").view(np.uint8)
-    return np.unpackbits(packed.reshape(-1, cells // 8), axis=1,
-                         bitorder="little")
+        rows = np.ascontiguousarray(keys).view(np.uint8)
+        return rows.reshape(keys.shape + (cells,))[..., ::-1]
+    b = _cell_bits(k)
+    shifts = np.arange(0, cells * b, b, dtype=keys.dtype)
+    return (keys[..., None] >> shifts & (1 << b) - 1).astype(np.uint8)
+
+
+@lru_cache(maxsize=32)
+def _fields(k: int, cells: int) -> tuple[tuple, ...]:
+    """Per variable of a packed table: the (k, 1) shifts that bring its
+    digit-c cells down to digit 0, the mask of the digit-0 cells and the
+    multiplier that copies them into every digit, in the key dtype."""
+    n = 0
+    while k ** n < cells:
+        n += 1
+    b, word = _cell_bits(k), _word_dtype(k, cells)
+    full = np.uint8((1 << b) - 1)
+    fields = []
+    for i, zero in enumerate(row_keys((cell_digits(k, n) == 0) * full, k)):
+        step = b * k ** i
+        shifts = np.arange(0, k * step, step, dtype=word)[:, None]
+        shifts.flags.writeable = False
+        fields.append((shifts, zero, word.type(sum(1 << d * step
+                                                   for d in range(k)))))
+    return tuple(fields)
+
+
+def _word_restrictions(keys: np.ndarray, k: int, cells: int,
+                       variables: tuple[int, ...]) -> np.ndarray:
+    """((k+1)^m, N) lattice row keys from (N,) packed tables: the rows of
+    each next variable's digit c+1 are the rows so far with x := c."""
+    out = np.empty(((k + 1) ** len(variables), len(keys)), keys.dtype)
+    out[0] = keys
+    size = 1
+    fields = _fields(k, cells)
+    for i in variables:
+        shifts, zero, spread = fields[i]
+        fixed = out[size:(k + 1) * size].reshape(k, size * len(keys))
+        np.right_shift(out[:size].reshape(1, -1), shifts, out=fixed)
+        fixed &= zero
+        fixed *= spread
+        size *= k + 1
+    return out
+
+
+def _table_restrictions(tables: np.ndarray, k: int,
+                        variables: tuple[int, ...]) -> np.ndarray:
+    """((k+1)^m, N, k^n) uint8 lattice rows, in the order of the keys."""
+    rows = tables[None]
+    for i in variables:
+        view = rows.reshape(rows.shape[:2] + (-1, k, k ** i))
+        fixed = [view[:, :, :, c:c + 1].repeat(k, axis=3) for c in range(k)]
+        rows = np.concatenate([view, *fixed]).reshape(-1, *tables.shape)
+    return rows
 
 
 def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
@@ -125,30 +205,35 @@ def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
 
     Row rho has base-(k+1) digit 0 (x free) or c+1 (x = c) per listed
     variable; the others stay free, which loses nothing where they are
-    inessential.  x is essential in a row iff fixing it to 0 changes it:
-    with the rows viewed as (N, -1, k+1, (k+1)^digit), those are the
-    digit-0 and digit-1 slices of axis 2.
-    Raises MemoryError, before allocating, above `LATTICE_CELLS` cells.
+    inessential.  Tables of at most 64 bits are built as packed words,
+    wider ones as uint8 rows; only the keys are kept.  Both builds run
+    rows first, (rows, N), so a lattice row of every function is one
+    contiguous run.  x is essential in a row iff fixing it to 0 changes
+    it: with the keys viewed as (-1, k+1, (k+1)^digit * N), those are the
+    digit-0 and digit-1 slices of axis 1.  Raises MemoryError, before
+    allocating, above `LATTICE_CELLS` cells (functions x rows x table
+    cells, whichever build runs).
     """
     variables = tuple(variables)
-    cells = len(tables) * (k + 1) ** len(variables) * tables.shape[1]
+    count, width = tables.shape
+    cells = count * (k + 1) ** len(variables) * width
     if cells > LATTICE_CELLS:
         raise MemoryError(f"restriction lattice of {cells} cells exceeds the "
                           f"budget of {LATTICE_CELLS}")
-    rows = tables[:, None, :]
-    for i in variables:
-        view = rows.reshape(rows.shape[:2] + (-1, k, k ** i))
-        fixed = [view[:, :, :, c:c + 1].repeat(k, axis=3) for c in range(k)]
-        rows = np.concatenate([view, *fixed], axis=1).reshape(
-            len(tables), -1, tables.shape[1])
-    keys = row_keys(rows, k)
-    masks = np.zeros(keys.shape, dtype=np.int64)
-    # one variable at a time, O(rows) memory; axis 2 is its digit
+    if _word_dtype(k, width) is None:
+        keys = row_keys(_table_restrictions(tables, k, variables), k)
+    else:
+        keys = _word_restrictions(row_keys(tables, k), k, width, variables)
+    # one variable at a time, O(rows) memory, in the least dtype holding
+    # the masks; the int64 copy below is the transpose the callers need
+    masks = np.zeros(keys.shape,
+                     np.min_scalar_type(1 << max(variables, default=0)))
     for digit, i in enumerate(variables):
-        shape = (len(keys), -1, k + 1, (k + 1) ** digit)
+        shape = (-1, k + 1, (k + 1) ** digit * count)
         key, mask = keys.reshape(shape), masks.reshape(shape)
-        mask[:, :, 0] |= (key[:, :, 0] != key[:, :, 1]).astype(np.int64) << i
-    return Lattice(rows, keys, masks, variables)
+        mask[:, 0] |= (key[:, 0] != key[:, 1]) << mask.dtype.type(i)
+    return Lattice(np.ascontiguousarray(keys.T),
+                   np.ascontiguousarray(masks.T, dtype=np.int64), variables)
 
 
 def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
@@ -296,7 +381,7 @@ def function_lattice(f) -> Lattice:
     views = [table.reshape(-1, f.k, f.k ** i) for i in range(f.n)]
     lattice = restrictions(table[None], f.k, [
         i for i, view in enumerate(views) if (view != view[:, :1]).any()])
-    for array in lattice[:3]:  # every caller gets the same arrays
+    for array in lattice[:2]:  # every caller gets the same arrays
         array.flags.writeable = False
     return lattice
 
@@ -307,8 +392,9 @@ def sub_closure_word(w: int, n: int) -> dict[int, int]:
     table = np.frombuffer(KFunction.from_word(w, n).values, np.uint8)
     lattice = restrictions(table[None], 2, range(n))
     keep = distinct(lattice)[0]
-    return {KFunction(2, n, row).word: mask for row, mask in zip(
-        lattice.tables[0][keep], lattice.masks[0][keep].tolist())}
+    rows = key_rows(lattice.keys[0][keep], 2, 1 << n)
+    return {KFunction(2, n, row).word: mask
+            for row, mask in zip(rows, lattice.masks[0][keep].tolist())}
 
 
 def sep_profile_word(w: int, n: int) -> tuple[int, ...]:

@@ -583,7 +583,7 @@ def _row_images(keys: np.ndarray, factor) -> np.ndarray:
     under a factor's elements, one gather for all of them."""
     doms, outs, slots = factor
     cells, k = outs.shape[1:]
-    rows = bitops.key_rows(keys, cells)
+    rows = bitops.key_rows(keys, k, cells)
     return bitops.row_keys(
         outs.reshape(-1)[rows[:, doms] + slots].reshape(-1, cells), k)
 
@@ -638,7 +638,7 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
     if least.dtype == np.intp:
         return KFunction.from_id(int(least[0]), f.k, f.n)
     return KFunction(f.k, f.n,
-                     bitops.key_rows(least, len(f.values))[0].tobytes())
+                     bitops.key_rows(least, f.k, len(f.values))[0].tobytes())
 
 
 # -- whole-space scans (small spaces) ---------------------------------------

@@ -34,7 +34,8 @@ from .kfun import KFunction, VarSet
 def subfunctions(f: KFunction) -> set[KFunction]:
     """Sub(f): every table reachable by fixing essential variables, plus f."""
     lattice = bitops.function_lattice(f)
-    rows = lattice.tables[0][bitops.distinct(lattice)[0]]
+    rows = bitops.key_rows(lattice.keys[0][bitops.distinct(lattice)[0]], f.k,
+                           len(f.values))
     return {KFunction(f.k, f.n, row.tobytes()) for row in rows}
 
 
@@ -165,14 +166,15 @@ def subfunction_chain(f: KFunction, g: KFunction) -> list[KFunction]:
     if (g.k, g.n) != (f.k, f.n):
         raise ValueError("g must live in the same space as f")
     lattice = bitops.function_lattice(f)
-    is_g = (lattice.tables[0] == np.frombuffer(g.values, np.uint8)).all(axis=1)
+    is_g = lattice.keys[0] == bitops.row_keys(
+        np.frombuffer(g.values, np.uint8)[None], f.k)
     if not is_g.any():
         raise ValueError("g is not a subfunction of f")
     path = bitops.descent(lattice, f.k, is_g)
     if path is None:  # unreachable if the chain theorem holds
         raise RuntimeError("no essential-increment chain found")
-    return [KFunction(f.k, f.n, lattice.tables[0, row].tobytes())
-            for row in reversed(path)]
+    rows = bitops.key_rows(lattice.keys[0, path[::-1]], f.k, len(f.values))
+    return [KFunction(f.k, f.n, row.tobytes()) for row in rows]
 
 
 # ---------------------------------------------------------------------------

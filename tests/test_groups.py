@@ -459,7 +459,7 @@ class TestOrbitBfs:
             rows = bitops.key_rows(_expand(bitops.row_keys(table, k),
                                            _row_images,
                                            _rounds(_row_action, gd),
-                                           1 << 22), k ** n)
+                                           1 << 22), k, k ** n)
             ids = rows.astype(np.intp) @ k ** np.arange(k ** n)
             assert ids.tolist() == _expand(np.array([f.id], np.intp),
                                            _id_images,

@@ -52,9 +52,12 @@ def mask_of(vars_) -> int:
 
 @pytest.mark.parametrize("k,n,count", [
     (2, 3, None), (3, 2, None), (2, 4, 300), (2, 5, 100), (2, 6, 30),
-    (3, 3, 60)])
+    (3, 3, 60),
+    # tables wider than 64 bits: the uint8 build
+    (2, 7, 4), (3, 4, 12), (5, 2, 40)])
 def test_kernel_matches_definition(k, n, count):
     fns = functions(k, n, count)
+    fns += [KFunction.constant(k, n, 0), KFunction.constant(k, n, k - 1)]
     tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
     lattice = bitops.restrictions(tables, k, range(n))
     subs = bitops.sub_counts(lattice, n)
@@ -110,19 +113,25 @@ def gathered_masks(keys: np.ndarray, k: int, variables) -> np.ndarray:
     return masks
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("k,n", [
+    (2, 4), (3, 3), (4, 2),
+    # tables wider than 64 bits: the uint8 build
+    (2, 7), (3, 4), (5, 2)])
 def test_masks_match_the_gather_formula(k, n):
     # seeded functions, and the same with one variable fixed (inessential)
     fns = functions(k, n, 30)
     fns += [f.cofactor(1 + j % n, j % k) for j, f in enumerate(fns[:10])]
-    fns.append(KFunction.constant(k, n, k - 1))
+    fns += [KFunction.constant(k, n, 0), KFunction.constant(k, n, k - 1)]
     tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
-    for size in range(n + 1):
-        for variables in itertools.permutations(range(n), size):
-            lattice = bitops.restrictions(tables, k, variables)
-            assert np.array_equal(
-                lattice.masks, gathered_masks(lattice.keys, k, variables)), \
-                variables
+    orders = [variables for size in range(n + 1)
+              for variables in itertools.permutations(range(n), size)]
+    if len(orders) > 100:  # P_2^7 has 13,700: keep () and a seeded sample
+        orders = orders[:1] + random.Random(n).sample(orders[1:], 39)
+    for variables in orders:
+        lattice = bitops.restrictions(tables, k, variables)
+        assert np.array_equal(
+            lattice.masks, gathered_masks(lattice.keys, k, variables)), \
+            variables
 
 
 def test_sep_counts_memory_stays_near_the_masks():
@@ -182,19 +191,31 @@ def test_lattice_budget_refuses_before_allocating():
         bitops.restrictions(tables, 3, range(9))
 
 
+def test_packed_lattice_budget_counts_cells():
+    # P_2^6 tables are one word each, yet the budget still counts
+    # functions x 3^6 rows x 64 cells, so both builds refuse the same inputs
+    fits = bitops.LATTICE_CELLS // (3 ** 6 * 64)
+    lattice = bitops.restrictions(np.zeros((fits, 64), np.uint8), 2, range(6))
+    assert lattice.keys.shape == (fits, 3 ** 6)
+    with pytest.raises(MemoryError, match="budget"):
+        bitops.restrictions(np.zeros((fits + 1, 64), np.uint8), 2, range(6))
+
+
 def test_lattice_row_zero_is_the_function():
     f = KFunction(3, 2, [0, 1, 2, 1, 1, 1, 2, 1, 0])
     lattice = bitops.function_lattice(f)
-    assert bytes(lattice.tables[0, 0]) == f.values
+    rows = bitops.key_rows(lattice.keys, 3, 9)
+    assert bytes(rows[0, 0]) == f.values
     assert lattice.masks[0, 0] == mask_of(f.essential_set())
-    assert lattice.tables.shape == (1, 16, 9)
+    assert rows.shape == (1, 16, 9)
 
 
 def test_single_function_lattice_varies_essential_variables_only():
     # 3^12 rows of 4096 cells would need gigabytes; 3^3 rows suffice
     f = parse("x1*x2 + x3", 2, arity=12)
     small = parse("x1*x2 + x3", 2)
-    assert bitops.function_lattice(f).tables.shape == (1, 27, 4096)
+    keys = bitops.function_lattice(f).keys
+    assert bitops.key_rows(keys, 2, 4096).shape == (1, 27, 4096)
     assert sub_vector(f) == sub_vector(small) + (0,) * 9
     assert sep_vector(f) == sep_vector(small) + (0,) * 9
     assert separable_sets(f) == separable_sets(small)
@@ -202,15 +223,37 @@ def test_single_function_lattice_varies_essential_variables_only():
     assert len(subfunctions(f)) == len(subfunctions(small)) == 13
 
 
-@pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (2, 6), (2, 7), (3, 2)])
+def test_masks_hold_variables_past_the_eighth():
+    # x9 and x10 are mask bits 8 and 9, past a byte
+    f = parse("x1*x9 + x10", 2, arity=10)
+    small = parse("x1*x2 + x3", 2)
+    lattice = bitops.function_lattice(f)
+    assert lattice.variables == (0, 8, 9)
+    assert np.array_equal(lattice.masks,
+                          gathered_masks(lattice.keys, 2, lattice.variables))
+    rename = {1: 1, 2: 9, 3: 10}
+    assert separable_sets(f) == {frozenset(rename[i] for i in s)
+                                 for s in separable_sets(small)}
+
+
+# tables of at most 64 bits pack into the narrowest unsigned word at 1, 2, 4
+# or 8 bits per cell; wider ones are their bytes reversed
+KEY_DTYPES = {(2, 2): "u1", (2, 3): "u1", (2, 6): "u8", (3, 2): "u4",
+              (3, 3): "u8", (4, 2): "u4", (16, 1): "u8", (2, 7): "V128",
+              (5, 2): "V25"}
+
+
+@pytest.mark.parametrize("k, n", KEY_DTYPES)
 def test_row_keys_sort_like_ids(k, n):
-    # packed ids for binary tables of 8-64 cells, reversed bytes otherwise
     rng = random.Random(10 * k + n)
     fs = [KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
           for _ in range(48)]
+    fs += [KFunction.constant(k, n, 0), KFunction.constant(k, n, k - 1)]
     fs += fs[:8]  # equal tables need equal keys
-    keys = bitops.row_keys(
-        np.array([np.frombuffer(f.values, np.uint8) for f in fs]), k)
+    tables = np.array([np.frombuffer(f.values, np.uint8) for f in fs])
+    keys = bitops.row_keys(tables, k)
+    assert keys.dtype == np.dtype(KEY_DTYPES[k, n])
+    assert np.array_equal(bitops.key_rows(keys, k, k ** n), tables)
     ids = [f.id for f in fs]
     by_key = np.argsort(keys, kind="stable").tolist()
     assert by_key == sorted(range(len(fs)), key=ids.__getitem__)

@@ -73,6 +73,12 @@ class TestCofactorJoin:
                for prof, (cnt, rep) in _sep_join(n).items()}
         assert got == want
 
+    def test_cofactor_keys_stay_two_bytes_per_row(self):
+        # the 81 x 2^16 P_2^4 row keys of the join, 10.6 MB as uint16
+        cof = _cofactors(4)
+        assert cof.keys.dtype == np.uint16
+        assert cof.keys.shape == (81, 1 << 16)
+
     def test_pair_profiles_match_the_lattice(self):
         # f0 over orbit minima and over arbitrary functions; the set
         # counting must agree with sep_counts on the whole 243-row lattice
