@@ -246,6 +246,20 @@ def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
     return (ids // weights % np.uint64(k)).astype(np.uint8)
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array as their first indices, in ascending
+    lexicographic order of the rows, and each row's position in that list,
+    from one stable `np.lexsort` and a mask of equal neighbours.  Rows
+    viewed as one void column are grouped by their bytes."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def distinct(lattice: Lattice) -> np.ndarray:
     """(N, rows) bool: True on one row of each distinct table of a function."""
     order = np.argsort(lattice.keys, axis=1)
@@ -386,20 +400,26 @@ def function_lattice(f) -> Lattice:
     return lattice
 
 
+def _word_table(w: int, n: int) -> np.ndarray:
+    """The (1, 2^n) uint8 table of a binary table word, cell j = bit j."""
+    cells = 1 << n
+    if not 0 <= w < 1 << cells:
+        raise ValueError("id out of range for this (k, n)")
+    raw = np.frombuffer(w.to_bytes((cells + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[None, :cells]
+
+
 def sub_closure_word(w: int, n: int) -> dict[int, int]:
     """Sub(w) as {table word: essential mask (bit i-1 for variable i)}."""
-    from .kfun import KFunction  # kfun builds on this module
-    table = np.frombuffer(KFunction.from_word(w, n).values, np.uint8)
-    lattice = restrictions(table[None], 2, range(n))
+    lattice = restrictions(_word_table(w, n), 2, range(n))
     keep = distinct(lattice)[0]
-    rows = key_rows(lattice.keys[0][keep], 2, 1 << n)
-    return {KFunction(2, n, row).word: mask
+    rows = np.packbits(key_rows(lattice.keys[0][keep], 2, 1 << n), axis=1,
+                       bitorder="little")
+    return {int.from_bytes(row.tobytes(), "little"): mask
             for row, mask in zip(rows, lattice.masks[0][keep].tolist())}
 
 
 def sep_profile_word(w: int, n: int) -> tuple[int, ...]:
     """(sep_1, ..., sep_n): separable-set counts by cardinality."""
-    from .kfun import KFunction  # kfun builds on this module
-    table = np.frombuffer(KFunction.from_word(w, n).values, np.uint8)
-    masks = restrictions(table[None], 2, range(n)).masks
+    masks = restrictions(_word_table(w, n), 2, range(n)).masks
     return tuple(sep_counts(masks, n)[0].tolist())

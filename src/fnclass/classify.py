@@ -14,9 +14,10 @@ sep_m vectors.  Both degenerate to comparing essential counts at ess <= 1.
 
 All three are invariant under the genus group g (variable permutations and
 argument translations), so a whole-space scan reads one function per
-g-orbit, its least id, and weights it by the orbit's size.  A block's key
-rows are grouped by one stable lexsort (`group_rows`), and each class's
-representative text is written straight from its id (`kfun.table_texts`).
+g-orbit, its least id, and weights it by the orbit's size; the key rows of
+all minima are grouped once per relation (`bitops.group_rows`).  One
+builder writes every report, the group orbits' and the P_2^5 sep join's
+(`scan5._sep_join`) too, each representative straight from its least id.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bitops
+from . import bitops, scan5
 from .diagrams import imp_count
 from .groups import (GROUP_NAMES, GroupDescriptor, orbit_minima,
                      orbit_partition)
@@ -99,7 +100,7 @@ def imp_equivalent_direct(f: KFunction, g: KFunction) -> bool:
 # ---------------------------------------------------------------------------
 
 def _key(rel: str, k: int, row: list[int]) -> tuple:
-    """The class key that one row of the `_block_keys` matrix encodes."""
+    """The class key that one `_block_rows` row encodes."""
     low, *value = row
     if rel == "sub":
         present, value = value[:k], value[k:]
@@ -112,58 +113,42 @@ def _key(rel: str, k: int, row: list[int]) -> tuple:
     return ("V", *value)
 
 
-def _extra(rel: str, counts: list[int]) -> dict:
-    """A class record's profile: imp, or the sub or sep total and vector."""
+def _extra(rel: str, k: int, row: list[int]) -> dict:
+    """A class record's profile, read off one `_block_rows` row: imp, or
+    the sub or sep total and vector."""
+    counts = row[1 + k:] if rel == "sub" else row[1:]
     if rel == "imp":
         return {"imp": counts[0]}
     return {rel: sum(counts), f"{rel}_vector": counts}
 
 
-def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d array, as each one's first index (distinct
-    rows in ascending lexicographic order), and each row's distinct-row
-    index: `np.unique(rows, axis=0)`'s index and inverse, from one stable
-    `np.lexsort` and a mask of equal neighbours."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _block_keys(tables: np.ndarray, k: int, n: int, relations) -> dict:
-    """Per relation: a block's distinct keys, each key's first position,
-    each function's key index and each key's `_extra` (its first
-    function's profile).  Below ess 2 a key is ess (plus the range for
-    sub, as k columns marking the values present); from 2 up imp, the sub
-    or sep vector, which below ess 2 only depend on ess (and the range)."""
+def _block_rows(tables: np.ndarray, k: int, n: int, relations) -> dict:
+    """Per relation, one int64 row per function: ess capped at 2, then k
+    columns marking the values present (sub only, set at ess 1), then imp
+    or the sub or sep vector.  Below ess 2 the key is ess (plus the range
+    for sub), and there imp, the sub or the sep vector only depend on ess
+    (and the range), so equal rows are exactly equal keys."""
     lattice = bitops.restrictions(tables, k, range(n))
     low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
     out = {}
     for rel in relations:
         if rel == "imp":
-            value = counts = bitops.imp_counts(lattice, k)[:, None]
+            value = bitops.imp_counts(lattice, k)[:, None]
         elif rel == "sub":  # the range rule for single-variable functions
-            counts = bitops.sub_counts(lattice, n)
             unary = low[:, 0] == 1
             present = np.zeros((len(tables), k), np.int64)
             present[np.flatnonzero(unary)[:, None], tables[unary]] = 1
-            value = np.hstack([present, counts])
+            value = np.hstack([present, bitops.sub_counts(lattice, n)])
         else:
-            value = counts = bitops.sep_counts(lattice.masks, n)
-        rows = np.hstack([low, value])
-        first, inverse = group_rows(rows)
-        out[rel] = ([_key(rel, k, row) for row in rows[first].tolist()],
-                    first, inverse,
-                    [_extra(rel, row) for row in counts[first].tolist()])
+            value = bitops.sep_counts(lattice.masks, n)
+        out[rel] = np.hstack([low, value])
     return out
 
 
 def _function_key(f: KFunction, rel: str) -> tuple:
     table = np.frombuffer(f.values, dtype=np.uint8)[None]
-    return _block_keys(table, f.k, f.n, (rel,))[rel][0][0]
+    row = _block_rows(table, f.k, f.n, (rel,))[rel][0]
+    return _key(rel, f.k, row.tolist())
 
 
 def sub_key(f: KFunction) -> tuple:
@@ -245,6 +230,19 @@ def _orbit_index(labels: np.ndarray, minima: np.ndarray) -> np.ndarray:
     return position[labels]
 
 
+def _report(relation: str, k: int, n: int, total: int, classes,
+            assignment: np.ndarray | None = None) -> ClassificationReport:
+    """The report of (key, size, least id, profile) per class, in class
+    order; a key of None names an orbit by its least table."""
+    keys, sizes, least, extras = zip(*classes)
+    records = [ClassRecord(index, f"orbit:{text}" if key is None
+                           else _key_str(key), size, text, extra)
+               for index, key, size, text, extra in zip(
+                   itertools.count(1), keys, sizes,
+                   table_texts(least, k, n), extras)]
+    return ClassificationReport(relation, k, n, total, records, assignment)
+
+
 def scan_space(k: int, n: int, relations=RELATIONS,
                keep_assignment: bool = False,
                max_space: int = 1 << 22) -> dict[str, ClassificationReport]:
@@ -253,9 +251,10 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     Every imp, sub or sep class is a union of orbits of g (variable
     permutations and argument translations), so only each orbit's least id
     is classified, `bitops.BLOCK` at a time, and weighted by its orbit
-    size; a class's least id is its least orbit minimum.  g, not ge: at
-    k > 2 an output translation changes a unary function's range, which
-    is part of its sub key.
+    size.  One `bitops.group_rows` call per relation groups all minima's key
+    rows; the minima ascend and the sort is stable, so a class's first row,
+    which numbers it, is its least id.  g, not ge: at k > 2 an output
+    translation changes a unary function's range, part of its sub key.
     """
     size = space_size(k, n, max_space)
     if size is None:
@@ -264,35 +263,28 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     relations = tuple(relations)
     lab = orbit_partition(GroupDescriptor("g", k, n), max_space=max_space)
     minima, sizes = orbit_minima(lab)
-    # key: (class id, least id, profile)
-    found = {rel: {} for rel in relations}
-    cls = {rel: np.empty(minima.size, np.int64) for rel in relations}
+    blocks = {rel: [] for rel in relations}
     for lo in range(0, minima.size, bitops.BLOCK):
-        block = minima[lo:lo + bitops.BLOCK]
-        tables = bitops.tables_from_ids(block, k, n)
-        for rel, (keys, first, index, extras) in _block_keys(
-                tables, k, n, relations).items():
-            seen = found[rel]
-            for j in np.argsort(first).tolist():  # class ids by least id
-                seen.setdefault(keys[j], (len(seen), int(block[first[j]]),
-                                          extras[j]))
-            cls[rel][lo:lo + block.size] = np.array(
-                [seen[key][0] for key in keys])[index]
+        tables = bitops.tables_from_ids(minima[lo:lo + bitops.BLOCK], k, n)
+        for rel, rows in _block_rows(tables, k, n, relations).items():
+            # all minima's rows are kept: each block in its least dtype
+            blocks[rel].append(rows.astype(np.min_scalar_type(rows.max())))
 
     index = _orbit_index(lab, minima) if keep_assignment else None
     out = {}
     for rel in relations:
-        counts = np.zeros(len(found[rel]), np.int64)
-        np.add.at(counts, cls[rel], sizes)
-        texts = table_texts([rep_id for _, rep_id, _ in found[rel].values()],
-                            k, n)
-        records = [ClassRecord(index=c + 1, key=_key_str(key),
-                               size=int(counts[c]), representative=text,
-                               extra=extra)
-                   for (key, (c, _, extra)), text in zip(found[rel].items(),
-                                                         texts)]
-        assign = None if index is None else cls[rel][index]
-        out[rel] = ClassificationReport(rel, k, n, size, records, assign)
+        rows = np.vstack(blocks.pop(rel))
+        first, inverse = bitops.group_rows(rows)
+        cls = np.argsort(np.argsort(first))[inverse]  # numbered by least id
+        first = np.sort(first)
+        counts = np.zeros(first.size, np.int64)
+        np.add.at(counts, cls, sizes)
+        classes = [(_key(rel, k, row), count, least, _extra(rel, k, row))
+                   for row, count, least in zip(rows[first].tolist(),
+                                                counts.tolist(),
+                                                minima[first].tolist())]
+        out[rel] = _report(rel, k, n, size, classes,
+                           None if index is None else cls[index])
     return out
 
 
@@ -301,30 +293,30 @@ def classify_space(k: int, n: int, relation: str,
                    max_space: int = 1 << 22) -> ClassificationReport:
     """Partition P_k^n under one relation: imp, sub, sep, or a group name.
 
-    P_2^5 under sep, 2^32 functions, comes from the cofactor join of
-    `scan5.sep_scan_p2_5`, which keeps no per-function assignment and scans
+    P_2^5 under sep, 2^32 functions, comes from the cofactor join
+    `scan5._sep_join`, which keeps no per-function assignment and scans
     all 2^16 functions of P_2^4, so `max_space` must admit those.
     """
     if (k, n, relation) == (2, 5, "sep") and not keep_assignment:
         if space_size(2, 4, max_space) is None:
             raise MemoryError(f"the P_2^5 sep join scans the {1 << 16} "
                               f"functions of P_2^4, over budget {max_space}")
-        from .scan5 import sep_scan_p2_5  # scan5 builds on this module
-        return sep_scan_p2_5()
+        join = sorted(scan5._sep_join(n).items(), key=lambda c: c[0][::-1])
+        # every profile is keyed by its vector, as a row at ess 2 is
+        return _report(relation, k, n, 1 << 32, [
+            (_key(relation, k, [2, *p]), size, least,
+             _extra(relation, k, [2, *p])) for p, (size, least) in join])
     if relation in RELATIONS:
         return scan_space(k, n, (relation,), keep_assignment=keep_assignment,
                           max_space=max_space)[relation]
     if relation in GROUP_NAMES:
         labels = orbit_partition(GroupDescriptor(relation, k, n),
                                  max_space=max_space)
-        reps, counts = orbit_minima(labels)
-        records = [ClassRecord(index=idx + 1, key=f"orbit:{text}", size=cnt,
-                               representative=text)
-                   for idx, (text, cnt) in enumerate(zip(
-                       table_texts(reps.tolist(), k, n), counts.tolist()))]
-        assignment = _orbit_index(labels, reps) if keep_assignment else None
-        return ClassificationReport(relation, k, n, int(labels.size), records,
-                                    assignment)
+        minima, sizes = orbit_minima(labels)
+        return _report(relation, k, n, int(labels.size), [
+            (None, size, least, {})
+            for least, size in zip(minima.tolist(), sizes.tolist())],
+            _orbit_index(labels, minima) if keep_assignment else None)
     raise ValueError(f"unknown relation {relation!r}; use one of "
                      f"{RELATIONS + GROUP_NAMES}")
 

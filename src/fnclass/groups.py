@@ -467,8 +467,7 @@ def _distinct(maps) -> tuple[np.ndarray, np.ndarray]:
     dom, out = maps
     rows = np.hstack([dom.view(np.uint8).reshape(len(dom), -1),
                       out.reshape(len(out), -1)])
-    _, first = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))),
-                         return_index=True)
+    first, _ = bitops.group_rows(rows.view(f"V{rows.shape[1]}"))
     first.sort()
     return dom[first], out[first]
 

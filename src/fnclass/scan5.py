@@ -1,4 +1,4 @@
-"""Separability classification of the full 2^32-function space P_2^5.
+"""The separability join over the full 2^32-function space P_2^5.
 
 Strategy: write f = f0 + 2^(2^(n-1)) f1 by its x_n-cofactors.  The 3^n rows
 of f's restriction lattice are then the rows of f0 (x_n = 0), the rows of
@@ -8,14 +8,15 @@ P_2^n is read off one P_2^(n-1) lattice (`bitops`), pair by pair through
 the 64-bit set of the essential masks present.  Profiles are invariant
 under H, the ge group of x_1..x_(n-1) acting on both cofactors at once, so
 f0 only runs over the 222 orbit minima of H on P_2^4, weighted by orbit
-size, while f1 runs over all 2^16 functions.
+size, while f1 runs over all 2^16 functions.  `classify_space(2, 5, "sep")`
+writes the Table 5 report from `_sep_join`'s counts and least ids.
 
-`_domain_maps` and `_orbit` expand ge orbits on P_2^n by bit permutations,
-an orbit engine independent of `groups` that the two cross-check, and
-`sample_sep_profiles` is a direct (orbit-free) scan over a random sample,
-an independent check of the join that counts the sampled profile tuples
-with a `Counter`.  Nothing is stored: every call recomputes, the whole
-table in about 10 s.
+Its two oracles stay here: `_sep_profiles` (with `sample_sep_profiles`,
+which counts the sampled profile tuples with a `Counter`) is a direct,
+orbit-free scan over a random sample, and `_domain_maps`/`_orbit` expand
+ge orbits on P_2^n by bit permutations, an orbit engine independent of
+`groups` that the two cross-check.  Nothing is stored: every call
+recomputes, the whole table in about 10 s.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bitops
-from .classify import ClassRecord, ClassificationReport, _extra, _key_str
 from .groups import GroupDescriptor, orbit_minima, orbit_partition
-from .kfun import table_texts
 
 _N = 5
 _SPACE = 1 << 32
@@ -185,19 +184,6 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
             if classes[code][1] == f1:
                 out[_unpack(code, n)] = [classes[code][0], f0 | f1 << (1 << m)]
     return out
-
-
-def sep_scan_p2_5() -> ClassificationReport:
-    """Exact sep-classification of all 2^32 binary 5-ary functions."""
-    records = []
-    ordered = sorted(_sep_join(_N).items(),
-                     key=lambda item: tuple(reversed(item[0])))
-    texts = table_texts([rep for _, (_, rep) in ordered], 2, _N)
-    for idx, ((prof, (cnt, _)), rep) in enumerate(zip(ordered, texts)):
-        records.append(ClassRecord(
-            index=idx + 1, key=_key_str(("V", *prof)), size=cnt,
-            representative=rep, extra=_extra("sep", list(prof))))
-    return ClassificationReport("sep", 2, _N, _SPACE, records)
 
 
 def sample_sep_profiles(count: int = 1_000_000,

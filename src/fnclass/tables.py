@@ -28,12 +28,13 @@ from .spform import parse
 # fixture data
 # ---------------------------------------------------------------------------
 
-# imp-classes of P_2^2: (class members as expressions, imp value, class size)
+# imp-classes of P_2^2: (class members as expressions, imp value, class size);
+# the imp-6 class is the 8 non-affine functions
 TABLE1 = (
     (("0", "1"), 1, 2),
     (("x1", "x2", "x1^0", "x2^0"), 2, 4),
     (("x1*x2", "x1*x2^0", "x1^0*x2", "x1^0*x2^0",
-      "x1 + x1*x2", "x2^0 + x1*x2", "x1^0 + x1*x2", "x1^0 + x1*x2^0"), 6, 8),
+      "x1 + x1^0*x2", "x2^0 + x1*x2", "x1^0 + x1*x2", "x1^0 + x1*x2^0"), 6, 8),
     (("x1 + x2", "x1 + x2^0"), 8, 2),
 )
 
@@ -41,7 +42,7 @@ TABLE1 = (
 TABLE_RAG22 = (
     ("0", "1", "x1", "x2", "x1^0", "x2^0", "x1 + x2", "x1 + x2^0"),
     ("x1*x2", "x1*x2^0", "x1^0*x2", "x1^0*x2^0",
-     "x1 + x1*x2", "x2^0 + x1*x2", "x1^0 + x1*x2", "x1^0 + x1*x2^0"),
+     "x1 + x1^0*x2", "x2^0 + x1*x2", "x1^0 + x1*x2", "x1^0 + x1*x2^0"),
 )
 
 # generic (genus) rows of the P_2^3 classification:
@@ -198,11 +199,12 @@ def _reproduce_table1() -> TableResult:
     by_imp = {c.extra["imp"]: c.size for c in report.classes}
     rows, expected = [], []
     for members, imp, size in TABLE1:
-        # every listed member must carry the class's imp value
-        imps = {imp_count(parse(e, 2, arity=2)) for e in members}
+        # the members: `size` distinct functions, each of the class's imp
+        functions = [parse(e, 2, arity=2) for e in members]
+        imps = {imp_count(f) for f in functions}
         rows.append([imps.pop() if len(imps) == 1 else sorted(imps),
-                     by_imp.get(imp), len(members)])
-        expected.append([imp, size, len(members)])
+                     by_imp.get(imp), len({f.values for f in functions})])
+        expected.append([imp, size, size])
     return _diff(TableResult("table1", ["imp", "class_size", "listed_members"],
                              rows, expected))
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fnclass import bitops
-from fnclass.classify import (_block_keys, _key_str, class_counts,
-                              classify_space, group_rows,
+from fnclass.bitops import group_rows
+from fnclass.classify import (RELATIONS, _block_rows, _key, _key_str,
+                              class_counts, classify_space,
                               imp_equivalent_direct, imp_key, imp_signature,
                               refinement_check, scan_space, sep_key, sub_key)
 from fnclass.diagrams import imp_count
@@ -162,12 +163,27 @@ class TestGroupRows:
     def test_all_equal_rows(self):
         self.check(np.full((9, 4), 7))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_void_column(self, seed):
+        # rows viewed as one void scalar each, as `groups._distinct` does:
+        # grouped by their bytes
+        rows = np.random.default_rng(seed).integers(0, 3, size=(60, 5),
+                                                    dtype=np.uint8)
+        first, inverse = group_rows(rows.view("V5"))
+        _, index, inv = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+        assert np.array_equal(first, index)
+        assert np.array_equal(inverse, inv.reshape(-1))
+
     def test_block_keys_group_like_unique(self):
-        # P_2^3 in one block: the keys are distinct, and each function's
-        # key index names the key its own single-function call gives
+        # P_2^3 in one block: equal rows are equal keys, and each
+        # function's row index names the key its own single-function call
+        # gives
         tables = bitops.tables_from_ids(np.arange(256), 2, 3)
-        for rel, (keys, first, index, _) in _block_keys(
-                tables, 2, 3, ("imp", "sub", "sep")).items():
+        for rel, rows in _block_rows(tables, 2, 3,
+                                     ("imp", "sub", "sep")).items():
+            first, index = group_rows(rows)
+            keys = [_key(rel, 2, row) for row in rows[first].tolist()]
             assert len(set(keys)) == len(keys) == index.max() + 1
             assert np.array_equal(index[first], np.arange(len(keys)))
             assert [keys[i] for i in index.tolist()] == [
@@ -239,14 +255,15 @@ class TestClassifySpace:
 
 def direct_scan(k: int, n: int, rel: str):
     """(key, size, representative) per class by least id, and each id's
-    class index: `_block_keys` over every id of P_k^n, no orbits."""
+    class index: the `_key` of each `_block_rows` row over every id of
+    P_k^n, no orbits."""
     size = k ** k ** n
     keys = []
     for lo in range(0, size, bitops.BLOCK):
         ids = np.arange(lo, min(lo + bitops.BLOCK, size))
-        uniq, _, index, _ = _block_keys(bitops.tables_from_ids(ids, k, n),
-                                        k, n, (rel,))[rel]
-        keys += [uniq[i] for i in index.tolist()]
+        rows = _block_rows(bitops.tables_from_ids(ids, k, n), k, n,
+                           (rel,))[rel]
+        keys += [_key(rel, k, row) for row in rows.tolist()]
     least = {}
     for ident, key in enumerate(keys):
         least.setdefault(key, ident)
@@ -278,6 +295,16 @@ class TestOrbitReduction:
                        "sep": sep_vector(rep)}[rel]
                 assert c.extra == ({"imp": imp_count(rep)} if vec is None else
                                    {rel: sum(vec), f"{rel}_vector": list(vec)})
+
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 2), (5, 1)])
+    def test_independent_of_block_size(self, k, n, monkeypatch):
+        # blocks of 7 minima spread the classes over dozens of blocks
+        want = scan_space(k, n, keep_assignment=True)
+        monkeypatch.setattr(bitops, "BLOCK", 7)
+        got = scan_space(k, n, keep_assignment=True)
+        for rel in RELATIONS:
+            assert got[rel].classes == want[rel].classes
+            assert np.array_equal(got[rel].assignment, want[rel].assignment)
 
 
 class TestCounts:

@@ -169,7 +169,7 @@ def test_cold_sep_vector_memory_stays_near_the_lattice():
 
 
 def test_word_kernels_past_64_bit_ids():
-    # P_2^7 ids have 128 bits: the word kernels decode through KFunction,
+    # P_2^7 ids have 128 bits: the word kernels unpack the word's bits,
     # and tables_from_ids refuses ids that uint64 cannot hold
     w = 1 << 70 | 6
     f = KFunction.from_word(w, 7)

@@ -7,7 +7,7 @@ from fnclass.groups import GroupDescriptor, orbit_partition
 from fnclass.kfun import KFunction
 from fnclass.scan5 import (GE5_ORBITS, _cofactors, _domain_maps, _orbit,
                            _pair_profiles, _sep_join, _sep_profiles, _unpack,
-                           sample_sep_profiles, sep_scan_p2_5)
+                           sample_sep_profiles)
 from fnclass.tables import TABLE5
 
 TABLE5_PROFILES = {vec: size for vec, _, size in TABLE5}
@@ -169,7 +169,7 @@ class TestClassifySpaceRoute:
 
 class TestFullScan:
     def test_full_scan(self):
-        report = sep_scan_p2_5()
+        report = classify_space(2, 5, "sep")
         assert [(tuple(c.extra["sep_vector"]), c.extra["sep"], c.size)
                 for c in report.classes] == list(TABLE5)
         assert [c.representative for c in report.classes] == \

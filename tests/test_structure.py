@@ -1,0 +1,43 @@
+"""Structural guards over the library source, read as syntax trees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fnclass
+
+SOURCES = sorted(Path(fnclass.__file__).parent.glob("*.py"))
+
+
+def tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_np_unique(path):
+    # rows are grouped by `bitops.group_rows`, the one row grouper
+    calls = [node.lineno for node in ast.walk(tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "unique"
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("np", "numpy")]
+    assert not calls, f"np.unique at lines {calls}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    nested = [node.lineno for fn in ast.walk(tree(path))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside functions at lines {nested}"
+
+
+def test_scan5_is_a_leaf_of_bitops_and_groups():
+    path = Path(fnclass.__file__).parent / "scan5.py"
+    package = set()
+    for node in ast.walk(tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package |= ({alias.name for alias in node.names}
+                        if node.module is None else {node.module})
+    assert package == {"bitops", "groups"}

@@ -1,8 +1,10 @@
 import pytest
 
-from fnclass.groups import GroupDescriptor, group_elements
+from fnclass.groups import GroupDescriptor, group_elements, orbit_partition
+from fnclass.spform import parse
 from fnclass.tables import (EXAMPLE_VALUES, FIGURE4, TABLE3, TABLE3_AVERAGES,
-                            TABLE4, TABLE4_ROW5, TABLE5, reproduce_table)
+                            TABLE4, TABLE4_ROW5, TABLE5, TABLE_RAG22,
+                            reproduce_table)
 
 
 class TestFixtureConsistency:
@@ -27,6 +29,16 @@ class TestFixtureConsistency:
         assert round(256 / 11, 1) == TABLE3_AVERAGES["sub_class_size"]
         assert round(256 / 5, 1) == TABLE3_AVERAGES["sep_class_size"]
         assert round(256 / 14, 1) == TABLE3_AVERAGES["genus_class_size"]
+
+    def test_rag22_orbits_are_the_listed_sets(self):
+        labels = orbit_partition(GroupDescriptor("rag", 2, 2)).tolist()
+        orbits = {}
+        for ident, label in enumerate(labels):
+            orbits.setdefault(label, set()).add(ident)
+        listed = [{parse(e, 2, arity=2).id for e in members}
+                  for members in TABLE_RAG22]
+        assert sorted(map(sorted, orbits.values())) == \
+            sorted(map(sorted, listed))
 
     def test_figure4_consistent_with_table4(self):
         assert FIGURE4["g"] == (TABLE4[3][0], TABLE4[4][0])
