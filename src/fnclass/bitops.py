@@ -2,8 +2,9 @@
 
 Restrictions keep the arity and fixing an inessential variable changes
 nothing, so Sub(f) is exactly the set of the (k+1)^n partial-assignment
-restrictions of f.  `restrictions` builds them for a batch of uint8 tables,
-row rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
+restrictions of f.  `restrictions` builds them for a batch of row keys
+(`row_keys` of tables, or `keys_from_ids` straight from function ids), row
+rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
 per-function measure is read off that lattice, as are Dis(M, f), subfunction
 chains and full-depth orderings (`fixed_masks`, `descent`).  The essential
 masks compare, per variable, the digit-0 and digit-1 slices of one reshaped
@@ -18,8 +19,11 @@ to n = 6, every ternary one up to n = 3), in the narrowest dtype that holds
 it; its cells with x_i = c sit c * b * k^(i-1) bits above those with
 x_i = 0.  Such lattices are built on the words: fixing x_i := c is a shift,
 an AND with the x_i = 0 field mask and a multiply that copies the field into
-every x_i digit.  Wider tables are built as uint8 rows and keyed by their
-bytes, last cell first.  Either key sorts like the table ids.
+every x_i digit.  Wider tables are keyed by their bytes, last cell first,
+and built as the uint8 rows that `key_rows` views in those keys.  Either
+key sorts like the table ids.  Where a cell takes exactly log2 k bits
+(k = 2, 4, 16, 256) the word is the id, so `keys_from_ids` turns ids into
+keys by a cast, with no decode into cells.
 
 A single table is also read as one little-endian Python int, 8 bits per
 cell, by the same shifts.  `essential_mask` and `cofactor` work on that int
@@ -200,30 +204,42 @@ def _table_restrictions(tables: np.ndarray, k: int,
     return rows
 
 
-def restrictions(tables: np.ndarray, k: int, variables) -> Lattice:
-    """The restriction lattice of each row of `tables` (N, k^n) uint8.
+def restrictions(keys: np.ndarray, k: int, n: int, variables) -> Lattice:
+    """The restriction lattice of each P_k^n table of `keys`, its (N,)
+    `row_keys`.
 
     Row rho has base-(k+1) digit 0 (x free) or c+1 (x = c) per listed
     variable; the others stay free, which loses nothing where they are
     inessential.  Tables of at most 64 bits are built as packed words,
-    wider ones as uint8 rows; only the keys are kept.  Both builds run
-    rows first, (rows, N), so a lattice row of every function is one
-    contiguous run.  x is essential in a row iff fixing it to 0 changes
-    it: with the keys viewed as (-1, k+1, (k+1)^digit * N), those are the
-    digit-0 and digit-1 slices of axis 1.  Raises MemoryError, before
-    allocating, above `LATTICE_CELLS` cells (functions x rows x table
-    cells, whichever build runs).
+    wider ones as the uint8 rows `key_rows` reads off their keys; only the
+    keys are kept.  Both builds run rows first, (rows, N), so a lattice
+    row of every function is one contiguous run.  x is essential in a row
+    iff fixing it to 0 changes it: with the keys viewed as
+    (-1, k+1, (k+1)^digit * N), those are the digit-0 and digit-1 slices
+    of axis 1.  Raises ValueError, before allocating, on keys of another
+    shape or dtype than `row_keys` gives, and MemoryError above
+    `LATTICE_CELLS` cells (functions x rows x table cells, whichever build
+    runs).
     """
     variables = tuple(variables)
-    count, width = tables.shape
+    keys = np.asarray(keys)
+    width = k ** n
+    word = _word_dtype(k, width)
+    dtype = np.dtype(f"V{width}") if word is None else word
+    if keys.ndim != 1 or keys.dtype != dtype:
+        raise ValueError(f"restrictions takes the (N,) row keys of P_{k}^{n}"
+                         f" as {dtype!r}, not shape {keys.shape} of "
+                         f"{keys.dtype!r}")
+    count = len(keys)
     cells = count * (k + 1) ** len(variables) * width
     if cells > LATTICE_CELLS:
         raise MemoryError(f"restriction lattice of {cells} cells exceeds the "
                           f"budget of {LATTICE_CELLS}")
-    if _word_dtype(k, width) is None:
-        keys = row_keys(_table_restrictions(tables, k, variables), k)
+    if word is None:
+        keys = row_keys(_table_restrictions(key_rows(keys, k, width), k,
+                                            variables), k)
     else:
-        keys = _word_restrictions(row_keys(tables, k), k, width, variables)
+        keys = _word_restrictions(keys, k, width, variables)
     # one variable at a time, O(rows) memory, in the least dtype holding
     # the masks; the int64 copy below is the transpose the callers need
     masks = np.zeros(keys.shape,
@@ -244,6 +260,17 @@ def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.uint64)[:, None]
     weights = np.uint64(k) ** np.arange(k ** n, dtype=np.uint64)
     return (ids // weights % np.uint64(k)).astype(np.uint8)
+
+
+def keys_from_ids(ids, k: int, n: int) -> np.ndarray:
+    """(N,) `row_keys` of the functions with the given ids.  Where a cell
+    takes exactly log2 k bits (k = 2, 4, 16, 256) and the table fits in 64
+    bits, cell j sits at weight k^j in both, so the key is the id cast to
+    the word dtype; otherwise the ids are decoded into tables."""
+    word = _word_dtype(k, k ** n)
+    if word is not None and 1 << _cell_bits(k) == k:
+        return np.asarray(ids, dtype=np.uint64).astype(word)
+    return row_keys(tables_from_ids(ids, k, n), k)
 
 
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,25 +420,28 @@ def function_lattice(f) -> Lattice:
     digit of axis 1 differs from digit 0."""
     table = np.frombuffer(f.values, np.uint8)
     views = [table.reshape(-1, f.k, f.k ** i) for i in range(f.n)]
-    lattice = restrictions(table[None], f.k, [
+    lattice = restrictions(row_keys(table[None], f.k), f.k, f.n, [
         i for i, view in enumerate(views) if (view != view[:, :1]).any()])
     for array in lattice[:2]:  # every caller gets the same arrays
         array.flags.writeable = False
     return lattice
 
 
-def _word_table(w: int, n: int) -> np.ndarray:
-    """The (1, 2^n) uint8 table of a binary table word, cell j = bit j."""
+def _word_key(w: int, n: int) -> np.ndarray:
+    """The (1,) `row_keys` of a binary table word, cell j = bit j: the word
+    itself up to 64 bits, the bytes of its unpacked cells above that."""
     cells = 1 << n
     if not 0 <= w < 1 << cells:
         raise ValueError("id out of range for this (k, n)")
-    raw = np.frombuffer(w.to_bytes((cells + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, bitorder="little")[None, :cells]
+    if _word_dtype(2, cells) is not None:
+        return keys_from_ids([w], 2, n)
+    raw = np.frombuffer(w.to_bytes(cells // 8, "little"), np.uint8)
+    return row_keys(np.unpackbits(raw, bitorder="little")[None], 2)
 
 
 def sub_closure_word(w: int, n: int) -> dict[int, int]:
     """Sub(w) as {table word: essential mask (bit i-1 for variable i)}."""
-    lattice = restrictions(_word_table(w, n), 2, range(n))
+    lattice = restrictions(_word_key(w, n), 2, n, range(n))
     keep = distinct(lattice)[0]
     rows = np.packbits(key_rows(lattice.keys[0][keep], 2, 1 << n), axis=1,
                        bitorder="little")
@@ -421,5 +451,5 @@ def sub_closure_word(w: int, n: int) -> dict[int, int]:
 
 def sep_profile_word(w: int, n: int) -> tuple[int, ...]:
     """(sep_1, ..., sep_n): separable-set counts by cardinality."""
-    masks = restrictions(_word_table(w, n), 2, range(n)).masks
+    masks = restrictions(_word_key(w, n), 2, n, range(n)).masks
     return tuple(sep_counts(masks, n)[0].tolist())

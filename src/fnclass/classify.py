@@ -122,22 +122,24 @@ def _extra(rel: str, k: int, row: list[int]) -> dict:
     return {rel: sum(counts), f"{rel}_vector": counts}
 
 
-def _block_rows(tables: np.ndarray, k: int, n: int, relations) -> dict:
-    """Per relation, one int64 row per function: ess capped at 2, then k
-    columns marking the values present (sub only, set at ess 1), then imp
-    or the sub or sep vector.  Below ess 2 the key is ess (plus the range
-    for sub), and there imp, the sub or the sep vector only depend on ess
-    (and the range), so equal rows are exactly equal keys."""
-    lattice = bitops.restrictions(tables, k, range(n))
+def _block_rows(keys: np.ndarray, k: int, n: int, relations) -> dict:
+    """Per relation, one int64 row per function of P_k^n, given by its
+    `bitops.row_keys` key: ess capped at 2, then k columns marking the
+    values present (sub only, set at ess 1), then imp or the sub or sep
+    vector.  Below ess 2 the key is ess (plus the range for sub), and there
+    imp, the sub or the sep vector only depend on ess (and the range), so
+    equal rows are exactly equal keys."""
+    lattice = bitops.restrictions(keys, k, n, range(n))
     low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
     out = {}
     for rel in relations:
         if rel == "imp":
             value = bitops.imp_counts(lattice, k)[:, None]
         elif rel == "sub":  # the range rule for single-variable functions
-            unary = low[:, 0] == 1
-            present = np.zeros((len(tables), k), np.int64)
-            present[np.flatnonzero(unary)[:, None], tables[unary]] = 1
+            unary = np.flatnonzero(low[:, 0] == 1)
+            present = np.zeros((len(keys), k), np.int64)
+            tables = bitops.key_rows(keys[unary], k, k ** n)
+            present[unary[:, None], tables] = 1
             value = np.hstack([present, bitops.sub_counts(lattice, n)])
         else:
             value = bitops.sep_counts(lattice.masks, n)
@@ -146,8 +148,8 @@ def _block_rows(tables: np.ndarray, k: int, n: int, relations) -> dict:
 
 
 def _function_key(f: KFunction, rel: str) -> tuple:
-    table = np.frombuffer(f.values, dtype=np.uint8)[None]
-    row = _block_rows(table, f.k, f.n, (rel,))[rel][0]
+    keys = bitops.row_keys(np.frombuffer(f.values, dtype=np.uint8)[None], f.k)
+    row = _block_rows(keys, f.k, f.n, (rel,))[rel][0]
     return _key(rel, f.k, row.tolist())
 
 
@@ -265,8 +267,8 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     minima, sizes = orbit_minima(lab)
     blocks = {rel: [] for rel in relations}
     for lo in range(0, minima.size, bitops.BLOCK):
-        tables = bitops.tables_from_ids(minima[lo:lo + bitops.BLOCK], k, n)
-        for rel, rows in _block_rows(tables, k, n, relations).items():
+        keys = bitops.keys_from_ids(minima[lo:lo + bitops.BLOCK], k, n)
+        for rel, rows in _block_rows(keys, k, n, relations).items():
             # all minima's rows are kept: each block in its least dtype
             blocks[rel].append(rows.astype(np.min_scalar_type(rows.max())))
 

@@ -684,9 +684,10 @@ def orbit_transversal(gd: GroupDescriptor,
                       max_space: int = 1 << 22) -> list[tuple[KFunction, int]]:
     """One (representative, orbit size) pair per orbit, ascending by id."""
     minima, sizes = orbit_minima(orbit_partition(gd, max_space=max_space))
-    tables = bitops.tables_from_ids(minima, gd.k, gd.n)
-    return [(KFunction(gd.k, gd.n, table.tobytes()), c)
-            for table, c in zip(tables, sizes.tolist())]
+    data = bitops.tables_from_ids(minima, gd.k, gd.n).tobytes()
+    cells = gd.k ** gd.n
+    return [(KFunction._in_range(gd.k, gd.n, data[lo:lo + cells]), c)
+            for lo, c in zip(range(0, len(data), cells), sizes.tolist())]
 
 
 def count_orbits(gd: GroupDescriptor, max_space: int = 1 << 22) -> int:

@@ -102,6 +102,15 @@ class KFunction:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _in_range(cls, k: int, n: int, values: bytes) -> "KFunction":
+        """`__init__` without its checks, for table bytes already known to
+        be k^n cells in Z_k: the same slots and the same hash."""
+        f = object.__new__(cls)
+        f.k, f.n, f.values = k, n, values
+        f._hash = hash((k, n, values))
+        return f
+
+    @classmethod
     def from_values(cls, k: int, n: int, values: Sequence[int]) -> "KFunction":
         return cls(k, n, values)
 
@@ -131,13 +140,13 @@ class KFunction:
     @classmethod
     def from_id(cls, ident: int, k: int, n: int) -> "KFunction":
         """Inverse of .id: decode the table from its k-ary numeral."""
-        size = k ** n
+        size = table_size(k, n)
         vals = bytearray(size)
         for i in range(size):
             ident, vals[i] = divmod(ident, k)
         if ident:
             raise ValueError("id out of range for this (k, n)")
-        return cls(k, n, vals)
+        return cls._in_range(k, n, bytes(vals))
 
     # -- identity ----------------------------------------------------------
 
@@ -202,8 +211,8 @@ class KFunction:
         self._check_var(i)
         if not 0 <= c < self.k:
             raise ValueError(f"constant {c} out of range for Z_{self.k}")
-        return KFunction(self.k, self.n,
-                         bitops.cofactor(self.values, self.k, self.n, i, c))
+        return KFunction._in_range(
+            self.k, self.n, bitops.cofactor(self.values, self.k, self.n, i, c))
 
     def restrict(self, assignment: PartialAssignment) -> "KFunction":
         """Fix several variables at once (order is immaterial)."""

@@ -5,11 +5,14 @@ of f's restriction lattice are then the rows of f0 (x_n = 0), the rows of
 f1 (x_n = 1) and the x_n-free rows, each essential in the variables of the
 two rows below it, plus x_n where those differ.  So every sep profile of
 P_2^n is read off one P_2^(n-1) lattice (`bitops`), pair by pair through
-the 64-bit set of the essential masks present.  Profiles are invariant
-under H, the ge group of x_1..x_(n-1) acting on both cofactors at once, so
-f0 only runs over the 222 orbit minima of H on P_2^4, weighted by orbit
-size, while f1 runs over all 2^16 functions.  `classify_space(2, 5, "sep")`
-writes the Table 5 report from `_sep_join`'s counts and least ids.
+the 64-bit set of the essential masks present.  Every lattice here is built
+straight from function ids: at k = 2 an id is its table's packed row key
+(`bitops.keys_from_ids`), so no table is decoded into cells.  Profiles are
+invariant under H, the ge group of x_1..x_(n-1) acting on both cofactors at
+once, so f0 only runs over the 222 orbit minima of H on P_2^4, weighted by
+orbit size, while f1 runs over all 2^16 functions.
+`classify_space(2, 5, "sep")` writes the Table 5 report from `_sep_join`'s
+counts and least ids.
 
 Its two oracles stay here: `_sep_profiles` (with `sample_sep_profiles`,
 which counts the sampled profile tuples with a `Counter`) is a direct,
@@ -79,12 +82,13 @@ def _orbit(w: int, maps: np.ndarray, n: int = _N) -> np.ndarray:
 
 
 def _sep_profiles(words: np.ndarray) -> np.ndarray:
-    """(len(words), 5) sep vectors of table words, bitops.BLOCK at a time."""
+    """(len(words), 5) sep vectors of table words, bitops.BLOCK at a time,
+    each block's lattice built on the words themselves."""
     out = np.empty((len(words), _N), dtype=np.uint8)
     for lo in range(0, len(words), bitops.BLOCK):
-        tables = bitops.tables_from_ids(words[lo:lo + bitops.BLOCK], 2, _N)
+        keys = bitops.keys_from_ids(words[lo:lo + bitops.BLOCK], 2, _N)
         out[lo:lo + bitops.BLOCK] = bitops.sep_counts(
-            bitops.restrictions(tables, 2, range(_N)).masks, _N)
+            bitops.restrictions(keys, 2, _N, range(_N)).masks, _N)
     return out
 
 
@@ -101,14 +105,14 @@ def _cofactors(m: int) -> _Cofactors:
     size = 1 << (1 << m)
     keys = masks = None
     for lo in range(0, size, bitops.BLOCK):
-        ids = np.arange(lo, min(lo + bitops.BLOCK, size))
-        lattice = bitops.restrictions(bitops.tables_from_ids(ids, 2, m), 2,
-                                      range(m))
+        hi = min(lo + bitops.BLOCK, size)
+        lattice = bitops.restrictions(
+            bitops.keys_from_ids(np.arange(lo, hi), 2, m), 2, m, range(m))
         if keys is None:
             keys = np.empty((lattice.keys.shape[1], size), lattice.keys.dtype)
             masks = np.empty(keys.shape, np.uint8)
-        keys[:, ids] = lattice.keys.T
-        masks[:, ids] = lattice.masks.T
+        keys[:, lo:hi] = lattice.keys.T
+        masks[:, lo:hi] = lattice.masks.T
     return _Cofactors(keys, masks, _mask_sets(masks, np.zeros(size, np.uint64)))
 
 

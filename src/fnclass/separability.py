@@ -36,7 +36,7 @@ def subfunctions(f: KFunction) -> set[KFunction]:
     lattice = bitops.function_lattice(f)
     rows = bitops.key_rows(lattice.keys[0][bitops.distinct(lattice)[0]], f.k,
                            len(f.values))
-    return {KFunction(f.k, f.n, row.tobytes()) for row in rows}
+    return {KFunction._in_range(f.k, f.n, row.tobytes()) for row in rows}
 
 
 def sub_vector(f: KFunction) -> tuple[int, ...]:
@@ -174,7 +174,7 @@ def subfunction_chain(f: KFunction, g: KFunction) -> list[KFunction]:
     if path is None:  # unreachable if the chain theorem holds
         raise RuntimeError("no essential-increment chain found")
     rows = bitops.key_rows(lattice.keys[0, path[::-1]], f.k, len(f.values))
-    return [KFunction(f.k, f.n, row.tobytes()) for row in rows]
+    return [KFunction._in_range(f.k, f.n, row.tobytes()) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ class TestGroupRows:
         # function's row index names the key its own single-function call
         # gives
         tables = bitops.tables_from_ids(np.arange(256), 2, 3)
-        for rel, rows in _block_rows(tables, 2, 3,
+        for rel, rows in _block_rows(bitops.row_keys(tables, 2), 2, 3,
                                      ("imp", "sub", "sep")).items():
             first, index = group_rows(rows)
             keys = [_key(rel, 2, row) for row in rows[first].tolist()]
@@ -261,8 +261,8 @@ def direct_scan(k: int, n: int, rel: str):
     keys = []
     for lo in range(0, size, bitops.BLOCK):
         ids = np.arange(lo, min(lo + bitops.BLOCK, size))
-        rows = _block_rows(bitops.tables_from_ids(ids, k, n), k, n,
-                           (rel,))[rel]
+        rows = _block_rows(bitops.row_keys(bitops.tables_from_ids(ids, k, n),
+                                           k), k, n, (rel,))[rel]
         keys += [_key(rel, k, row) for row in rows.tolist()]
     least = {}
     for ident, key in enumerate(keys):

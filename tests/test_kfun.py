@@ -183,6 +183,17 @@ class TestSerialization:
         f = g_example()
         assert KFunction.from_id(f.id, 2, 3) == f
         assert f.id == 0xD8
+        # from_id and cofactor skip __init__'s checks, not its slots or hash
+        for k, n, ident in [(2, 3, 0xD8), (3, 2, 5000), (7, 1, 7 ** 7 - 1)]:
+            for f in (KFunction.from_id(ident, k, n),
+                      KFunction.from_id(ident, k, n).cofactor(1, k - 1)):
+                g = KFunction(k, n, f.values)
+                assert type(f.values) is bytes and hash(f) == hash(g)
+                assert [getattr(f, s) for s in KFunction.__slots__] == \
+                    [getattr(g, s) for s in KFunction.__slots__]
+        for k, n, ident in [(1, 1, 0), (2, 3, 256)]:
+            with pytest.raises(ValueError):
+                KFunction.from_id(ident, k, n)
 
     def test_hex_too_wide(self):
         with pytest.raises(ValueError):

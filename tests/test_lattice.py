@@ -59,7 +59,7 @@ def test_kernel_matches_definition(k, n, count):
     fns = functions(k, n, count)
     fns += [KFunction.constant(k, n, 0), KFunction.constant(k, n, k - 1)]
     tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
-    lattice = bitops.restrictions(tables, k, range(n))
+    lattice = bitops.restrictions(bitops.row_keys(tables, k), k, n, range(n))
     subs = bitops.sub_counts(lattice, n)
     seps = bitops.sep_counts(lattice.masks, n)
     for f, sub, sep in zip(fns, subs.tolist(), seps.tolist()):
@@ -82,7 +82,8 @@ def test_kernel_matches_definition(k, n, count):
 def test_binary_imp_matches_enumeration(n, count):
     fns = functions(2, n, count)
     tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
-    got = bitops.imp_counts(bitops.restrictions(tables, 2, range(n)), 2)
+    got = bitops.imp_counts(
+        bitops.restrictions(bitops.row_keys(tables, 2), 2, n, range(n)), 2)
     for f, imp in zip(fns, got.tolist()):
         want = len(implementations(f))
         assert (imp, imp_count(f), imp_count_word(f.word, n)) == \
@@ -95,7 +96,8 @@ def test_imp_kernel_matches_enumeration(k, n, count):
     # the k-generic recursion counts every label path of every ordering
     fns = functions(k, n, count)
     tables = np.array([np.frombuffer(f.values, np.uint8) for f in fns])
-    got = bitops.imp_counts(bitops.restrictions(tables, k, range(n)), k)
+    got = bitops.imp_counts(
+        bitops.restrictions(bitops.row_keys(tables, k), k, n, range(n)), k)
     assert got.tolist() == [len(implementations(f)) for f in fns]
     for f, imp in list(zip(fns, got.tolist()))[::max(1, len(fns) // 50)]:
         assert imp_count(f) == imp, f
@@ -128,7 +130,8 @@ def test_masks_match_the_gather_formula(k, n):
     if len(orders) > 100:  # P_2^7 has 13,700: keep () and a seeded sample
         orders = orders[:1] + random.Random(n).sample(orders[1:], 39)
     for variables in orders:
-        lattice = bitops.restrictions(tables, k, variables)
+        lattice = bitops.restrictions(bitops.row_keys(tables, k), k, n,
+                                      variables)
         assert np.array_equal(
             lattice.masks, gathered_masks(lattice.keys, k, variables)), \
             variables
@@ -140,7 +143,7 @@ def test_sep_counts_memory_stays_near_the_masks():
     n = 20
     cells = np.arange(1 << n)
     table = ((cells ^ cells >> 1) & 1).astype(np.uint8)[None]
-    masks = bitops.restrictions(table, 2, (0, 1)).masks
+    masks = bitops.restrictions(bitops.row_keys(table, 2), 2, n, (0, 1)).masks
     tracemalloc.start()
     try:
         sep = bitops.sep_counts(masks, n)
@@ -184,21 +187,37 @@ def test_word_kernels_past_64_bit_ids():
     assert bitops.tables_from_ids([3 ** 27 - 1], 3, 3).min() == 2
 
 
+def test_restrictions_refuses_what_is_not_row_keys():
+    # a caller still handing over (N, k^n) uint8 tables, and raw k = 3 ids,
+    # which are not keys (a ternary key packs 2 bits per cell): both are
+    # refused by name of the key dtype, before the budget or any allocation
+    stale = [(np.zeros((2, 3 ** 9), np.uint8), 9),
+             (bitops.tables_from_ids(np.arange(10), 3, 2), 2),
+             (np.arange(10), 2), (np.arange(10, dtype=np.uint64), 2)]
+    for keys, n in stale:
+        dtype = "V19683" if n == 9 else "uint32"
+        with pytest.raises(ValueError, match=f"as dtype.'{dtype}'"):
+            bitops.restrictions(keys, 3, n, range(n))
+
+
 def test_lattice_budget_refuses_before_allocating():
     # 4^9 rows of 3^9 cells per function, about 5 GB each
     tables = np.zeros((2, 3 ** 9), np.uint8)
     with pytest.raises(MemoryError, match="budget"):
-        bitops.restrictions(tables, 3, range(9))
+        bitops.restrictions(bitops.row_keys(tables, 3), 3, 9, range(9))
 
 
 def test_packed_lattice_budget_counts_cells():
     # P_2^6 tables are one word each, yet the budget still counts
     # functions x 3^6 rows x 64 cells, so both builds refuse the same inputs
     fits = bitops.LATTICE_CELLS // (3 ** 6 * 64)
-    lattice = bitops.restrictions(np.zeros((fits, 64), np.uint8), 2, range(6))
+    lattice = bitops.restrictions(
+        bitops.row_keys(np.zeros((fits, 64), np.uint8), 2), 2, 6, range(6))
     assert lattice.keys.shape == (fits, 3 ** 6)
     with pytest.raises(MemoryError, match="budget"):
-        bitops.restrictions(np.zeros((fits + 1, 64), np.uint8), 2, range(6))
+        bitops.restrictions(
+            bitops.row_keys(np.zeros((fits + 1, 64), np.uint8), 2), 2, 6,
+            range(6))
 
 
 def test_lattice_row_zero_is_the_function():
@@ -259,3 +278,8 @@ def test_row_keys_sort_like_ids(k, n):
     assert by_key == sorted(range(len(fs)), key=ids.__getitem__)
     assert [keys[i] == keys[j] for i in range(len(fs)) for j in range(8)] == \
         [ids[i] == ids[j] for i in range(len(fs)) for j in range(8)]
+    if keys.dtype.kind == "u":  # a word space: its ids become keys directly
+        ids += [0, k ** k ** n - 1]
+        want = bitops.row_keys(bitops.tables_from_ids(ids, k, n), k)
+        got = bitops.keys_from_ids(ids, k, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -41,3 +41,11 @@ def test_scan5_is_a_leaf_of_bitops_and_groups():
             package |= ({alias.name for alias in node.names}
                         if node.module is None else {node.module})
     assert package == {"bitops", "groups"}
+
+
+def test_scan5_builds_lattices_straight_from_ids():
+    # binary ids are their own row keys: nothing in scan5 decodes them
+    path = Path(fnclass.__file__).parent / "scan5.py"
+    names = {node.attr for node in ast.walk(tree(path))
+             if isinstance(node, ast.Attribute)}
+    assert "keys_from_ids" in names and "tables_from_ids" not in names
