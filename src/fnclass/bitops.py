@@ -2,9 +2,11 @@
 
 Restrictions keep the arity and fixing an inessential variable changes
 nothing, so Sub(f) is exactly the set of the (k+1)^n partial-assignment
-restrictions of f.  `restrictions` builds them for a batch of row keys
-(`row_keys` of tables, or `keys_from_ids` straight from function ids), row
-rho having digit 0 (x_i free) or c+1 (x_i = c) per variable, and every
+restrictions of f.  `restrictions` builds them for a batch of N row keys
+(`row_keys` of tables, or `keys_from_ids` straight from function ids) as
+one ((k+1)^m, N) array, row rho having digit 0 (x_i free) or c+1 (x_i = c)
+per varied variable, so row 0 is the input keys; the essential masks share
+that layout in the least unsigned dtype that holds them.  Every
 per-function measure is read off that lattice, as are Dis(M, f), subfunction
 chains and full-depth orderings (`fixed_masks`, `descent`).  The essential
 masks compare, per variable, the digit-0 and digit-1 slices of one reshaped
@@ -41,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Functions per kernel call in the batch paths; larger blocks only cost memory.
+#: Functions per lattice in `classify.scan_space` and `scan5._sep_profiles`;
+#: larger blocks only cost memory.
 BLOCK = 256
 #: Single-function lattices kept, so one function's measures share one.
 LATTICE_CACHE = 16
@@ -108,11 +111,13 @@ class Lattice(NamedTuple):
 
     Only the rows' `row_keys` are kept: one word per row at b bits per
     cell (b the least of 1, 2, 4, 8 holding k-1) where k^n * b <= 64, the
-    row's bytes otherwise; `key_rows` decodes them into tables.
+    row's bytes otherwise; `key_rows` decodes them into tables.  Both
+    arrays are kept as built, rows first with one column per function; the
+    masks take the least unsigned dtype holding 1 << max(variables).
     """
 
-    keys: np.ndarray    # (N, (k+1)^m) `row_keys`, row 0 = the function
-    masks: np.ndarray   # (N, (k+1)^m) int64, bit i set iff x_{i+1} essential
+    keys: np.ndarray    # ((k+1)^m, N) `row_keys`, row 0 = the input keys
+    masks: np.ndarray   # ((k+1)^m, N), bit i set iff x_{i+1} essential
     variables: tuple[int, ...]  # the m varied bits, lowest digit first
 
 
@@ -212,14 +217,15 @@ def restrictions(keys: np.ndarray, k: int, n: int, variables) -> Lattice:
     variable; the others stay free, which loses nothing where they are
     inessential.  Tables of at most 64 bits are built as packed words,
     wider ones as the uint8 rows `key_rows` reads off their keys; only the
-    keys are kept.  Both builds run rows first, (rows, N), so a lattice
-    row of every function is one contiguous run.  x is essential in a row
-    iff fixing it to 0 changes it: with the keys viewed as
-    (-1, k+1, (k+1)^digit * N), those are the digit-0 and digit-1 slices
-    of axis 1.  Raises ValueError, before allocating, on keys of another
-    shape or dtype than `row_keys` gives, and MemoryError above
-    `LATTICE_CELLS` cells (functions x rows x table cells, whichever build
-    runs).
+    keys are kept.  The lattice is returned as built, ((k+1)^m, N) rows
+    first, so a lattice row of every function is one contiguous run and
+    row 0 is `keys` itself.  x is essential in a row iff fixing it to 0
+    changes it: with the keys viewed as (-1, k+1, (k+1)^digit * N), those
+    are the digit-0 and digit-1 slices of axis 1.  The masks take the least
+    unsigned dtype holding 1 << max(variables).  Raises ValueError, before
+    allocating, on keys of another shape or dtype than `row_keys` gives,
+    and MemoryError above `LATTICE_CELLS` cells (functions x rows x table
+    cells, whichever build runs).
     """
     variables = tuple(variables)
     keys = np.asarray(keys)
@@ -240,16 +246,14 @@ def restrictions(keys: np.ndarray, k: int, n: int, variables) -> Lattice:
                                             variables), k)
     else:
         keys = _word_restrictions(keys, k, width, variables)
-    # one variable at a time, O(rows) memory, in the least dtype holding
-    # the masks; the int64 copy below is the transpose the callers need
+    # one variable at a time, O(rows) memory
     masks = np.zeros(keys.shape,
                      np.min_scalar_type(1 << max(variables, default=0)))
     for digit, i in enumerate(variables):
         shape = (-1, k + 1, (k + 1) ** digit * count)
         key, mask = keys.reshape(shape), masks.reshape(shape)
         mask[:, 0] |= (key[:, 0] != key[:, 1]) << mask.dtype.type(i)
-    return Lattice(np.ascontiguousarray(keys.T),
-                   np.ascontiguousarray(masks.T, dtype=np.int64), variables)
+    return Lattice(keys, masks, variables)
 
 
 def tables_from_ids(ids, k: int, n: int) -> np.ndarray:
@@ -288,21 +292,21 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distinct(lattice: Lattice) -> np.ndarray:
-    """(N, rows) bool: True on one row of each distinct table of a function."""
-    order = np.argsort(lattice.keys, axis=1)
-    fn = np.arange(len(order))[:, None]
-    ordered = lattice.keys[fn, order]
+    """(rows, N) bool: True on one row of each distinct table of a function."""
+    order = np.argsort(lattice.keys, axis=0)
+    fn = np.arange(order.shape[1])
+    ordered = lattice.keys[order, fn]
     new = np.ones(ordered.shape, dtype=bool)
-    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    new[1:] = ordered[1:] != ordered[:-1]
     out = np.empty_like(new)
-    out[fn, order] = new
+    out[order, fn] = new
     return out
 
 
 def sub_counts(lattice: Lattice, n: int) -> np.ndarray:
     """(N, n+1): (sub_0, ..., sub_n), distinct subfunctions by essential arity."""
-    count = lattice.masks.shape[0]
-    slot = (np.arange(count)[:, None] * (n + 1)
+    count = lattice.masks.shape[1]
+    slot = (np.arange(count) * (n + 1)
             + np.bitwise_count(lattice.masks))[distinct(lattice)]
     return np.bincount(slot, minlength=count * (n + 1)).reshape(count, n + 1)
 
@@ -320,16 +324,17 @@ def _by_size(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sep_counts(masks: np.ndarray, n: int) -> np.ndarray:
-    """(N, n): (sep_1, ..., sep_n), distinct non-empty essential sets by size.
+    """(N, n): (sep_1, ..., sep_n), distinct non-empty essential sets by size,
+    from a lattice's ((k+1)^m, N) masks.
 
     Each function marks the masks present in its row of a (N, 2^n) byte
     table whose columns run by popcount, so one `np.add.reduceat` sums
-    each size.
+    each size.  `take`, not a fancy index: narrow index dtypes index slowly.
     """
     position, starts = _by_size(n)
-    present = np.zeros((len(masks), 1 << n), dtype=np.uint8)
-    cells = position[masks]
-    cells += np.arange(0, present.size, 1 << n)[:, None]  # each row's start
+    present = np.zeros((masks.shape[1], 1 << n), dtype=np.uint8)
+    cells = position.take(masks)
+    cells += np.arange(0, present.size, 1 << n)  # each function's start
     present.reshape(-1)[cells] = 1
     return np.add.reduceat(present, starts, axis=1, dtype=np.int64)[:, 1:]
 
@@ -376,14 +381,14 @@ def imp_counts(lattice: Lattice, k: int) -> np.ndarray:
     imp(rho) = [rho constant] + the sum over essential x and c in Z_k of
     imp(rho[x := c]), that is 1 at ess 0, k at ess 1 and the sum above."""
     order, levels = _levels(len(lattice.variables), k)
-    masks = lattice.masks[:, order]
-    bits = np.array(lattice.variables, np.int64)[:, None]
-    essential = (masks[:, None, :] >> bits) & 1
+    masks = lattice.masks[order]
+    bits = np.array(lattice.variables, np.int64)[:, None, None]
+    essential = (masks >> bits) & 1
     imp = (masks == 0).astype(np.int64)
     for part, children in levels:
-        imp[:, part] += (imp[:, children].sum(axis=2)
-                         * essential[:, :, part]).sum(axis=1)
-    return imp[:, -1]
+        imp[part] += (imp[children].sum(axis=1)
+                      * essential[:, part]).sum(axis=0)
+    return imp[-1]
 
 
 def descent(lattice: Lattice, k: int, stop: np.ndarray) -> list[int] | None:
@@ -393,7 +398,7 @@ def descent(lattice: Lattice, k: int, stop: np.ndarray) -> list[int] | None:
     c, order from which a stop row is still reachable; None if row 0 reaches
     none.  Reachability is decided level by level over free variables."""
     order, levels = _levels(len(lattice.variables), k)
-    masks = lattice.masks[0, order]
+    masks = lattice.masks[order, 0]
     bits = (np.int64(1) << np.array(lattice.variables, np.int64))[:, None]
     stop = np.asarray(stop)[order]
     reach = stop.copy()
@@ -442,11 +447,11 @@ def _word_key(w: int, n: int) -> np.ndarray:
 def sub_closure_word(w: int, n: int) -> dict[int, int]:
     """Sub(w) as {table word: essential mask (bit i-1 for variable i)}."""
     lattice = restrictions(_word_key(w, n), 2, n, range(n))
-    keep = distinct(lattice)[0]
-    rows = np.packbits(key_rows(lattice.keys[0][keep], 2, 1 << n), axis=1,
+    keep = distinct(lattice)[:, 0]
+    rows = np.packbits(key_rows(lattice.keys[keep, 0], 2, 1 << n), axis=1,
                        bitorder="little")
     return {int.from_bytes(row.tobytes(), "little"): mask
-            for row, mask in zip(rows, lattice.masks[0][keep].tolist())}
+            for row, mask in zip(rows, lattice.masks[keep, 0].tolist())}
 
 
 def sep_profile_word(w: int, n: int) -> tuple[int, ...]:

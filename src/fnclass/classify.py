@@ -130,7 +130,7 @@ def _block_rows(keys: np.ndarray, k: int, n: int, relations) -> dict:
     imp, the sub or the sep vector only depend on ess (and the range), so
     equal rows are exactly equal keys."""
     lattice = bitops.restrictions(keys, k, n, range(n))
-    low = np.minimum(np.bitwise_count(lattice.masks[:, :1]), 2)
+    low = np.minimum(np.bitwise_count(lattice.masks[0]), 2)[:, None]
     out = {}
     for rel in relations:
         if rel == "imp":

@@ -306,7 +306,7 @@ def find_full_depth_ordering(f: KFunction) -> tuple[int, ...]:
     if not f.essential_set():
         raise ValueError("f has no essential variables")
     lattice = bitops.function_lattice(f)
-    path = bitops.descent(lattice, f.k, lattice.masks[0] == 0)
+    path = bitops.descent(lattice, f.k, lattice.masks[:, 0] == 0)
     if path is None:  # unreachable if strongly essential variables exist
         raise RuntimeError("no full-depth ordering found")
     fixed = bitops.fixed_masks(lattice.variables, f.k)

@@ -4,15 +4,16 @@ Strategy: write f = f0 + 2^(2^(n-1)) f1 by its x_n-cofactors.  The 3^n rows
 of f's restriction lattice are then the rows of f0 (x_n = 0), the rows of
 f1 (x_n = 1) and the x_n-free rows, each essential in the variables of the
 two rows below it, plus x_n where those differ.  So every sep profile of
-P_2^n is read off one P_2^(n-1) lattice (`bitops`), pair by pair through
-the 64-bit set of the essential masks present.  Every lattice here is built
-straight from function ids: at k = 2 an id is its table's packed row key
-(`bitops.keys_from_ids`), so no table is decoded into cells.  Profiles are
-invariant under H, the ge group of x_1..x_(n-1) acting on both cofactors at
-once, so f0 only runs over the 222 orbit minima of H on P_2^4, weighted by
-orbit size, while f1 runs over all 2^16 functions.
-`classify_space(2, 5, "sep")` writes the Table 5 report from `_sep_join`'s
-counts and least ids.
+P_2^n is read off the lattice of all of P_2^(n-1), one `bitops.restrictions`
+call read as built (at n = 5, 81 x 2^16 uint16 keys and uint8 masks), pair
+by pair through the 64-bit set of the essential masks present.  Every
+lattice here is built straight from function ids: at k = 2 an id is its
+table's packed row key (`bitops.keys_from_ids`), so no table is decoded
+into cells.  Profiles are invariant under H, the ge group of x_1..x_(n-1)
+acting on both cofactors at once, so f0 only runs over the 222 orbit
+minima of H on P_2^4, weighted by orbit size, while f1 runs over all 2^16
+functions.  `classify_space(2, 5, "sep")` writes the Table 5 report from
+`_sep_join`'s counts and least ids.
 
 Its two oracles stay here: `_sep_profiles` (with `sample_sep_profiles`,
 which counts the sampled profile tuples with a `Counter`) is a direct,
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,28 +92,14 @@ def _sep_profiles(words: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Cofactors(NamedTuple):
-    """The restriction lattice of every function of P_2^m, one column each."""
-
-    keys: np.ndarray     # (3^m, 2^(2^m)) row keys, equal where the rows are
-    masks: np.ndarray    # (3^m, 2^(2^m)) uint8 essential masks
-    present: np.ndarray  # (2^(2^m),) uint64, bit e set iff some mask is e
-
-
-def _cofactors(m: int) -> _Cofactors:
-    """P_2^m's lattice, built `bitops.BLOCK` functions at a time."""
+def _cofactors(m: int) -> tuple[bitops.Lattice, np.ndarray]:
+    """The lattice of every function of P_2^m, one column each (3^m rows),
+    from one `bitops.restrictions` call, and per function the uint64 set
+    whose bit e is set iff some row of its column has mask e."""
     size = 1 << (1 << m)
-    keys = masks = None
-    for lo in range(0, size, bitops.BLOCK):
-        hi = min(lo + bitops.BLOCK, size)
-        lattice = bitops.restrictions(
-            bitops.keys_from_ids(np.arange(lo, hi), 2, m), 2, m, range(m))
-        if keys is None:
-            keys = np.empty((lattice.keys.shape[1], size), lattice.keys.dtype)
-            masks = np.empty(keys.shape, np.uint8)
-        keys[:, lo:hi] = lattice.keys.T
-        masks[:, lo:hi] = lattice.masks.T
-    return _Cofactors(keys, masks, _mask_sets(masks, np.zeros(size, np.uint64)))
+    lattice = bitops.restrictions(bitops.keys_from_ids(np.arange(size), 2, m),
+                                  2, m, range(m))
+    return lattice, _mask_sets(lattice.masks, np.zeros(size, np.uint64))
 
 
 def _mask_sets(masks: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -123,16 +109,19 @@ def _mask_sets(masks: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_profiles(cof: _Cofactors, f0: int, n: int) -> np.ndarray:
-    """Packed sep profile of f0 + 2^(2^(n-1)) f1 for every f1 of P_2^(n-1).
+def _pair_profiles(lattice: bitops.Lattice, present: np.ndarray, f0: int,
+                   n: int) -> np.ndarray:
+    """Packed sep profile of f0 + 2^(2^(n-1)) f1 for every f1 of P_2^(n-1),
+    from `_cofactors(n - 1)`.
 
-    The rows with x_n fixed are those of f0 and f1 (`cof.present`); an
+    The rows with x_n fixed are those of f0 and f1 (`present`); an
     x_n-free row is essential in mask0 | mask1, and in x_n where the two
     restrictions differ.  sep_s sits in bits 8(s-1) to 8s - 1.
     """
-    free = cof.masks | cof.masks[:, f0, None]
-    free |= (cof.keys != cof.keys[:, f0, None]).view(np.uint8) << (n - 1)
-    present = _mask_sets(free, cof.present | cof.present[f0])
+    keys, masks = lattice.keys, lattice.masks
+    free = masks | masks[:, f0, None]
+    free |= (keys != keys[:, f0, None]).view(np.uint8) << (n - 1)
+    present = _mask_sets(free, present | present[f0])
     arity = np.bitwise_count(np.arange(1 << n))
     code = np.zeros(present.shape, np.int64)
     for s in range(1, n + 1):
@@ -156,7 +145,9 @@ def _runs(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
-    """{sep profile: [count, least id]} over all of P_2^n (2 <= n <= 6).
+    """{sep profile: [count, least id]} over all of P_2^n (2 <= n <= 5: n = 6
+    would need the lattice of all 2^32 functions of P_2^5, 243 rows each,
+    far past `bitops.LATTICE_CELLS`).
 
     f0 runs over the orbit minima r of H, the ge group of x_1..x_(n-1)
     acting on both cofactors at once, weighted by |H r|; f1 runs over the
@@ -165,14 +156,14 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
     is symmetric in f0 and f1, swapping them is the x_n shift.
     """
     m = n - 1
-    cof = _cofactors(m)
+    lattice, present = _cofactors(m)
     lab = orbit_partition(GroupDescriptor("ge", 2, m))
     minima, weights = orbit_minima(lab)
     if int(weights.sum()) != lab.size:  # sum_r |H r| = 2^(2^(n-1))
         raise RuntimeError("orbit labels are not orbit minima")
     classes: dict[int, list[int]] = {}
     for r, weight in zip(minima.tolist(), weights.tolist()):
-        codes, order, starts = _runs(_pair_profiles(cof, r, n))
+        codes, order, starts = _runs(_pair_profiles(lattice, present, r, n))
         counts = np.diff(starts, append=len(order))
         least = np.minimum.reduceat(lab[order], starts)
         for code, cnt, f1 in zip(codes.tolist(), counts.tolist(),
@@ -182,7 +173,7 @@ def _sep_join(n: int) -> dict[tuple[int, ...], list[int]]:
             entry[1] = min(entry[1], f1)
     out = {}
     for f1 in {f1 for _, f1 in classes.values()}:
-        codes, order, starts = _runs(_pair_profiles(cof, f1, n))
+        codes, order, starts = _runs(_pair_profiles(lattice, present, f1, n))
         first = np.minimum.reduceat(order, starts)
         for code, f0 in zip(codes.tolist(), first.tolist()):
             if classes[code][1] == f1:

@@ -34,8 +34,8 @@ from .kfun import KFunction, VarSet
 def subfunctions(f: KFunction) -> set[KFunction]:
     """Sub(f): every table reachable by fixing essential variables, plus f."""
     lattice = bitops.function_lattice(f)
-    rows = bitops.key_rows(lattice.keys[0][bitops.distinct(lattice)[0]], f.k,
-                           len(f.values))
+    rows = bitops.key_rows(lattice.keys[bitops.distinct(lattice)[:, 0], 0],
+                           f.k, len(f.values))
     return {KFunction._in_range(f.k, f.n, row.tobytes()) for row in rows}
 
 
@@ -47,7 +47,7 @@ def sub_vector(f: KFunction) -> tuple[int, ...]:
 
 def separable_sets(f: KFunction) -> set[VarSet]:
     """Sep(f) = { Ess(g) : g in Sub(f), Ess(g) non-empty }."""
-    masks = set(bitops.function_lattice(f).masks[0].tolist())
+    masks = set(bitops.function_lattice(f).masks[:, 0].tolist())
     return {frozenset(i + 1 for i in range(f.n) if m >> i & 1)
             for m in masks if m}
 
@@ -98,7 +98,7 @@ def distributive_sets(m: Iterable[int], f: KFunction) -> frozenset[VarSet]:
         raise ValueError(f"{sorted(mset)} is not a subset of Ess(f) = {sorted(ess)}")
     lattice = bitops.function_lattice(f)
     want = sum(1 << (i - 1) for i in mset)
-    keeps = (lattice.masks[0] & want) == want
+    keeps = (lattice.masks[:, 0] & want) == want
     kept = set(bitops.fixed_masks(lattice.variables, f.k)[keeps].tolist())
     found = set()
     pool = sorted(ess - mset)
@@ -166,14 +166,14 @@ def subfunction_chain(f: KFunction, g: KFunction) -> list[KFunction]:
     if (g.k, g.n) != (f.k, f.n):
         raise ValueError("g must live in the same space as f")
     lattice = bitops.function_lattice(f)
-    is_g = lattice.keys[0] == bitops.row_keys(
+    is_g = lattice.keys[:, 0] == bitops.row_keys(
         np.frombuffer(g.values, np.uint8)[None], f.k)
     if not is_g.any():
         raise ValueError("g is not a subfunction of f")
     path = bitops.descent(lattice, f.k, is_g)
     if path is None:  # unreachable if the chain theorem holds
         raise RuntimeError("no essential-increment chain found")
-    rows = bitops.key_rows(lattice.keys[0, path[::-1]], f.k, len(f.values))
+    rows = bitops.key_rows(lattice.keys[path[::-1], 0], f.k, len(f.values))
     return [KFunction._in_range(f.k, f.n, row.tobytes()) for row in rows]
 
 

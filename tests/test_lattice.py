@@ -111,7 +111,7 @@ def gathered_masks(keys: np.ndarray, k: int, variables) -> np.ndarray:
     for digit, i in enumerate(variables):
         step = (k + 1) ** digit
         zero = np.where(index // step % (k + 1) == 0, index + step, index)
-        masks |= (keys != keys[:, zero]).astype(np.int64) << i
+        masks |= (keys != keys[zero]).astype(np.int64) << i
     return masks
 
 
@@ -213,7 +213,7 @@ def test_packed_lattice_budget_counts_cells():
     fits = bitops.LATTICE_CELLS // (3 ** 6 * 64)
     lattice = bitops.restrictions(
         bitops.row_keys(np.zeros((fits, 64), np.uint8), 2), 2, 6, range(6))
-    assert lattice.keys.shape == (fits, 3 ** 6)
+    assert lattice.keys.shape == (3 ** 6, fits)
     with pytest.raises(MemoryError, match="budget"):
         bitops.restrictions(
             bitops.row_keys(np.zeros((fits + 1, 64), np.uint8), 2), 2, 6,
@@ -226,7 +226,17 @@ def test_lattice_row_zero_is_the_function():
     rows = bitops.key_rows(lattice.keys, 3, 9)
     assert bytes(rows[0, 0]) == f.values
     assert lattice.masks[0, 0] == mask_of(f.essential_set())
-    assert rows.shape == (1, 16, 9)
+    assert rows.shape == (16, 1, 9)
+    # a batch, on both builds: row 0 is the input keys, and the masks take
+    # the least dtype holding the highest varied variable's bit
+    for k, n, variables in [(2, 4, range(4)), (3, 2, (1,)), (2, 10, (0, 9)),
+                            (3, 4, (2, 0))]:
+        keys = bitops.row_keys(np.array(
+            [np.frombuffer(g.values, np.uint8) for g in functions(k, n, 12)]),
+            k)
+        lattice = bitops.restrictions(keys, k, n, variables)
+        assert np.array_equal(lattice.keys[0], keys)
+        assert lattice.masks.dtype == np.min_scalar_type(1 << max(variables))
 
 
 def test_single_function_lattice_varies_essential_variables_only():
@@ -234,7 +244,7 @@ def test_single_function_lattice_varies_essential_variables_only():
     f = parse("x1*x2 + x3", 2, arity=12)
     small = parse("x1*x2 + x3", 2)
     keys = bitops.function_lattice(f).keys
-    assert bitops.key_rows(keys, 2, 4096).shape == (1, 27, 4096)
+    assert bitops.key_rows(keys, 2, 4096).shape == (27, 1, 4096)
     assert sub_vector(f) == sub_vector(small) + (0,) * 9
     assert sep_vector(f) == sep_vector(small) + (0,) * 9
     assert separable_sets(f) == separable_sets(small)

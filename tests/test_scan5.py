@@ -74,15 +74,20 @@ class TestCofactorJoin:
         assert got == want
 
     def test_cofactor_keys_stay_two_bytes_per_row(self):
-        # the 81 x 2^16 P_2^4 row keys of the join, 10.6 MB as uint16
-        cof = _cofactors(4)
-        assert cof.keys.dtype == np.uint16
-        assert cof.keys.shape == (81, 1 << 16)
+        # the 81 x 2^16 P_2^4 row keys of the join, 10.6 MB as uint16, and
+        # its masks, 5.3 MB as uint8 (not 42 MB as int64)
+        lattice, present = _cofactors(4)
+        assert lattice.keys.dtype == np.uint16
+        assert lattice.keys.shape == (81, 1 << 16)
+        assert lattice.masks.dtype == np.uint8
+        assert lattice.masks.shape == (81, 1 << 16)
+        assert present.dtype == np.uint64
+        assert present.shape == (1 << 16,)
 
     def test_pair_profiles_match_the_lattice(self):
         # f0 over orbit minima and over arbitrary functions; the set
         # counting must agree with sep_counts on the whole 243-row lattice
-        cof = _cofactors(4)
+        lattice, present = _cofactors(4)
         rng = np.random.default_rng(11)
         lab = orbit_partition(GroupDescriptor("ge", 2, 4))
         minima = np.flatnonzero(lab == np.arange(lab.size))
@@ -90,7 +95,7 @@ class TestCofactorJoin:
         assert np.any(lab[others] != others)
         pairs = 0
         for f0 in [*rng.choice(minima, size=6).tolist(), *others.tolist()]:
-            codes = _pair_profiles(cof, f0, 5)
+            codes = _pair_profiles(lattice, present, f0, 5)
             for f1 in rng.integers(0, 1 << 16, size=8).tolist():
                 assert _unpack(int(codes[f1]), 5) == \
                     sep_profile_word(f0 | f1 << 16, 5)
