@@ -27,7 +27,7 @@ from .classify import (ClassificationReport, class_counts, classify_space,
                        scan_space)
 from .groups import (GroupDescriptor, Transformation, canonical_form,
                      count_orbits, group_elements, group_generators,
-                     orbit_transversal, output_image)
+                     orbit_minima, orbit_partition, output_image)
 from .kfun import KFunction, from_values
 from .separability import (ComplexityProfile, distributive_sets, is_separable,
                            minimal_transversals, s_systems, sep_vector,
@@ -49,7 +49,8 @@ __all__ = [
     "imp_count", "imp_count_recursive", "find_full_depth_ordering",
     "find_shallow_ordering", "to_dot",
     "Transformation", "GroupDescriptor", "group_elements", "group_generators",
-    "canonical_form", "count_orbits", "orbit_transversal", "output_image",
+    "canonical_form", "count_orbits", "orbit_partition", "orbit_minima",
+    "output_image",
     "ClassificationReport", "classify_space", "scan_space", "class_counts",
     "refinement_check", "imp_signature", "compute_profile",
     "reproduce_table", "run_checks",

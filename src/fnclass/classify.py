@@ -1,12 +1,17 @@
 """Classification of function spaces by implementation, subfunction and
 separability profiles, and by transformation-group orbits.
 
-The implementation equivalence is recursive: two functions with more than
-one essential variable are equivalent when their essential variables can be
-matched so that, per variable, the k cofactors are equivalent up to a value
-permutation.  That is decided here through a canonical signature: the
-sorted multiset, over essential variables, of the sorted multiset of the
-cofactor signatures, serialized to bytes.
+Every classification keys the implementation equivalence by the
+implementation count, with the essential count settling ess <= 1
+(`_block_rows`, `imp_key`): that is the partition of the reference tables.
+The recursive definition (two functions with more than one essential
+variable are equivalent when their essential variables can be matched so
+that, per variable, the k cofactors are equivalent up to a value
+permutation) is strictly finer, 214 parts against 104 on P_2^4.  Its
+canonical signature `imp_signature` (the sorted multiset, over essential
+variables, of the sorted multiset of the cofactor signatures) classifies
+nothing here; `verify` checks it against the direct search and for
+invariance.
 
 Subfunction equivalence compares the sub_m count vectors (with the range
 rule for single-variable functions); separability equivalence compares the
@@ -225,13 +230,6 @@ def _key_str(key: tuple) -> str:
     return ":".join(str(x) for x in key)
 
 
-def _orbit_index(labels: np.ndarray, minima: np.ndarray) -> np.ndarray:
-    """Each id's orbit as an index into the ascending `minima`."""
-    position = np.empty(labels.size, np.int64)
-    position[minima] = np.arange(minima.size)
-    return position[labels]
-
-
 def _report(relation: str, k: int, n: int, total: int, classes,
             assignment: np.ndarray | None = None) -> ClassificationReport:
     """The report of (key, size, least id, profile) per class, in class
@@ -257,12 +255,18 @@ def scan_space(k: int, n: int, relations=RELATIONS,
     rows; the minima ascend and the sort is stable, so a class's first row,
     which numbers it, is its least id.  g, not ge: at k > 2 an output
     translation changes a unary function's range, part of its sub key.
+    A relation named twice is classified once; `keep_assignment` gives
+    each report every id's class index.
     """
+    relations = tuple(dict.fromkeys(relations))
+    for rel in relations:
+        if rel not in RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}; use one of "
+                             f"{RELATIONS}")
     size = space_size(k, n, max_space)
     if size is None:
         raise MemoryError(f"P_{k}^{n} has more functions than the scan budget "
                           f"{max_space}")
-    relations = tuple(relations)
     lab = orbit_partition(GroupDescriptor("g", k, n), max_space=max_space)
     minima, sizes = orbit_minima(lab)
     blocks = {rel: [] for rel in relations}
@@ -272,7 +276,8 @@ def scan_space(k: int, n: int, relations=RELATIONS,
             # all minima's rows are kept: each block in its least dtype
             blocks[rel].append(rows.astype(np.min_scalar_type(rows.max())))
 
-    index = _orbit_index(lab, minima) if keep_assignment else None
+    # each id's orbit as an index into the ascending minima
+    index = np.searchsorted(minima, lab) if keep_assignment else None
     out = {}
     for rel in relations:
         rows = np.vstack(blocks.pop(rel))
@@ -291,15 +296,16 @@ def scan_space(k: int, n: int, relations=RELATIONS,
 
 
 def classify_space(k: int, n: int, relation: str,
-                   keep_assignment: bool = False,
                    max_space: int = 1 << 22) -> ClassificationReport:
     """Partition P_k^n under one relation: imp, sub, sep, or a group name.
 
-    P_2^5 under sep, 2^32 functions, comes from the cofactor join
-    `scan5._sep_join`, which keeps no per-function assignment and scans
+    The report lists the classes only: `scan_space(..., keep_assignment=
+    True)` gives every id's imp, sub or sep class, and `orbit_partition`
+    labels every id with its orbit's least id.  P_2^5 under sep, 2^32
+    functions, comes from the cofactor join `scan5._sep_join`, which scans
     all 2^16 functions of P_2^4, so `max_space` must admit those.
     """
-    if (k, n, relation) == (2, 5, "sep") and not keep_assignment:
+    if (k, n, relation) == (2, 5, "sep"):
         if space_size(2, 4, max_space) is None:
             raise MemoryError(f"the P_2^5 sep join scans the {1 << 16} "
                               f"functions of P_2^4, over budget {max_space}")
@@ -309,16 +315,14 @@ def classify_space(k: int, n: int, relation: str,
             (_key(relation, k, [2, *p]), size, least,
              _extra(relation, k, [2, *p])) for p, (size, least) in join])
     if relation in RELATIONS:
-        return scan_space(k, n, (relation,), keep_assignment=keep_assignment,
-                          max_space=max_space)[relation]
+        return scan_space(k, n, (relation,), max_space=max_space)[relation]
     if relation in GROUP_NAMES:
         labels = orbit_partition(GroupDescriptor(relation, k, n),
                                  max_space=max_space)
         minima, sizes = orbit_minima(labels)
         return _report(relation, k, n, int(labels.size), [
             (None, size, least, {})
-            for least, size in zip(minima.tolist(), sizes.tolist())],
-            _orbit_index(labels, minima) if keep_assignment else None)
+            for least, size in zip(minima.tolist(), sizes.tolist())])
     raise ValueError(f"unknown relation {relation!r}; use one of "
                      f"{RELATIONS + GROUP_NAMES}")
 
@@ -334,8 +338,8 @@ def refinement_check(a: ClassificationReport, b: ClassificationReport) -> bool:
     if (a.k, a.n) != (b.k, b.n):
         raise ValueError("reports cover different spaces")
     if a.assignment is None or b.assignment is None:
-        raise ValueError("refinement_check needs reports built with "
-                         "keep_assignment=True")
+        raise ValueError("refinement_check needs scan_space reports built "
+                         "with keep_assignment=True")
     seen: dict[int, int] = {}
     for ca, cb in zip(a.assignment.tolist(), b.assignment.tolist()):
         prev = seen.get(ca)

@@ -23,7 +23,8 @@ for symmetric groups (Sims), a factor per coordinate for translations,
 T U W U for GL(n, k) (Bruhat).  A group's factors are its parts' in turn,
 so a least id over the group is one sequential minimum per factor:
 `orbit_partition` lowers every id's label to its image's under each factor
-element once.  `orbit_keys`/`canonical_form` expand an orbit over merged
+element once, and `orbit_minima` reads every orbit's least id and size
+off the labels.  `canonical_form` expands one function's orbit over merged
 factors (`_merged`): consecutive factors of one part merge into one factor
 of all their non-identity products for as long as it cannot exceed
 ID_TABLE = 256 elements (ge on P_2^5: 10 factors, 3 merged ones of 119, 31
@@ -608,34 +609,25 @@ def _expand(keys: np.ndarray, images, rounds, max_orbit: int) -> np.ndarray:
     return keys
 
 
-def orbit_keys(f: KFunction, gd: GroupDescriptor,
-               max_orbit: int = 1 << 22) -> np.ndarray:
-    """f's orbit, ascending: the function ids (intp) on spaces of at most
-    ID_SPACE functions, the `bitops.row_keys` of the tables above that.
+def canonical_form(f: KFunction, gd: GroupDescriptor,
+                   max_orbit: int = 1 << 22) -> KFunction:
+    """Orbit element with the smallest table id (the k-ary numeral reading).
 
-    The orbit is expanded over the group's merged factors (`_expand`);
-    `max_orbit` bounds the expansion.
+    The orbit is expanded over the group's merged factors (`_expand`) on
+    function ids in spaces of at most ID_SPACE functions, on the
+    `bitops.row_keys` of the tables above that; either way its least key
+    is the form.  `max_orbit` bounds the expansion.  Two functions are
+    G-equivalent iff their canonical forms coincide.
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
     if space_size(gd.k, gd.n, ID_SPACE):
-        return _expand(np.array([f.id], np.intp), _id_images,
-                       _rounds(_id_action, gd), max_orbit)
+        least = _expand(np.array([f.id], np.intp), _id_images,
+                        _rounds(_id_action, gd), max_orbit)[0]
+        return KFunction.from_id(int(least), f.k, f.n)
     table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
-    return _expand(bitops.row_keys(table, gd.k), _row_images,
-                   _rounds(_row_action, gd), max_orbit)
-
-
-def canonical_form(f: KFunction, gd: GroupDescriptor,
-                   max_orbit: int = 1 << 22) -> KFunction:
-    """Orbit element with the smallest table id (the k-ary numeral reading),
-    the least key of `orbit_keys`.
-
-    Two functions are G-equivalent iff their canonical forms coincide.
-    """
-    least = orbit_keys(f, gd, max_orbit)[:1]
-    if least.dtype == np.intp:
-        return KFunction.from_id(int(least[0]), f.k, f.n)
+    least = _expand(bitops.row_keys(table, gd.k), _row_images,
+                    _rounds(_row_action, gd), max_orbit)[:1]
     return KFunction(f.k, f.n,
                      bitops.key_rows(least, f.k, len(f.values))[0].tobytes())
 
@@ -678,16 +670,6 @@ def orbit_minima(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     id that is its own label."""
     minima = np.flatnonzero(labels == np.arange(labels.size))
     return minima, np.bincount(labels)[minima]
-
-
-def orbit_transversal(gd: GroupDescriptor,
-                      max_space: int = 1 << 22) -> list[tuple[KFunction, int]]:
-    """One (representative, orbit size) pair per orbit, ascending by id."""
-    minima, sizes = orbit_minima(orbit_partition(gd, max_space=max_space))
-    data = bitops.tables_from_ids(minima, gd.k, gd.n).tobytes()
-    cells = gd.k ** gd.n
-    return [(KFunction._in_range(gd.k, gd.n, data[lo:lo + cells]), c)
-            for lo, c in zip(range(0, len(data), cells), sizes.tolist())]
 
 
 def count_orbits(gd: GroupDescriptor, max_space: int = 1 << 22) -> int:

@@ -20,7 +20,8 @@ which counts the sampled profile tuples with a `Counter`) is a direct,
 orbit-free scan over a random sample, and `_domain_maps`/`_orbit` expand
 ge orbits on P_2^n by bit permutations, an orbit engine independent of
 `groups` that the two cross-check.  Nothing is stored: every call
-recomputes, the whole table in about 10 s.
+recomputes, the whole table in about 6 s (5.5-5.7 s at 64 MB peak RSS on a
+2-vCPU VM).
 """
 
 from __future__ import annotations

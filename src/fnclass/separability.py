@@ -196,7 +196,3 @@ class ComplexityProfile:
     @property
     def sep_total(self) -> int:
         return sum(self.sep)
-
-    def to_json_dict(self, f: KFunction) -> dict:
-        return {"k": f.k, "n": f.n, "table": f.table_text(),
-                "imp": self.imp, "sub": list(self.sub), "sep": list(self.sep)}

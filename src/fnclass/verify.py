@@ -529,6 +529,9 @@ def run_checks(k: int = 2, n_exhaustive: int = 3, n_sampled: int = 4,
     """Run the named checks (all by default) over the configured sweep."""
     if mutant is not None and mutant not in MUTANTS:
         raise ValueError(f"unknown mutant {mutant!r}; choose from {MUTANTS}")
+    unknown = set(names or ()) - {name for name, _ in CHECKS}
+    if unknown:
+        raise ValueError(f"unknown checks {sorted(unknown)}")
     rng = random.Random(seed)
     pools = _function_pool(k, n_exhaustive, n_sampled, samples, seed)
     if extra_pools:

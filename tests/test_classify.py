@@ -12,6 +12,7 @@ from fnclass.classify import (RELATIONS, _block_rows, _key, _key_str,
                               imp_equivalent_direct, imp_key, imp_signature,
                               refinement_check, scan_space, sep_key, sub_key)
 from fnclass.diagrams import imp_count
+from fnclass.groups import GroupDescriptor, orbit_partition
 from fnclass.kfun import KFunction
 from fnclass.separability import sep_vector, sub_vector
 from fnclass.spform import parse
@@ -237,6 +238,14 @@ class TestClassifySpace:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             classify_space(2, 2, "npn")
+        with pytest.raises(ValueError, match="unknown relation 'bogus'"):
+            scan_space(2, 3, ("imp", "bogus"))
+
+    def test_repeated_relation_classified_once(self):
+        reports = scan_space(2, 2, ("sep", "sep"))
+        assert list(reports) == ["sep"]
+        once = scan_space(2, 2, ("sep",))
+        assert reports["sep"].classes == once["sep"].classes
 
     def test_budget(self):
         with pytest.raises(MemoryError):
@@ -323,14 +332,16 @@ class TestRefinement:
         assert not refinement_check(reports["sub"], reports["imp"])
 
     def test_genus_orbits_refine_all_three(self):
+        # every id is in its ge-orbit minimum's class
         reports = scan_space(2, 3, ("imp", "sub", "sep"), keep_assignment=True)
-        ge = classify_space(2, 3, "ge", keep_assignment=True)
+        labels = orbit_partition(GroupDescriptor("ge", 2, 3))
         for rel in ("imp", "sub", "sep"):
-            assert refinement_check(ge, reports[rel])
+            a = reports[rel].assignment
+            assert (a == a[labels]).all()
 
     def test_mismatched_spaces(self):
-        a = classify_space(2, 2, "imp", keep_assignment=True)
-        b = classify_space(2, 3, "imp", keep_assignment=True)
+        a = scan_space(2, 2, ("imp",), keep_assignment=True)["imp"]
+        b = scan_space(2, 3, ("imp",), keep_assignment=True)["imp"]
         with pytest.raises(ValueError):
             refinement_check(a, b)
 

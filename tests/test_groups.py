@@ -14,8 +14,8 @@ from fnclass.groups import (GROUP_NAMES, GroupDescriptor, ID_TABLE,
                             _row_images, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
                             group_element, group_elements, group_generators,
-                            identity, orbit_keys, orbit_partition,
-                            orbit_transversal, output_image, output_map,
+                            identity, orbit_minima, orbit_partition,
+                            output_image, output_map,
                             output_translate, var_perm, var_perm_value_maps)
 from fnclass.kfun import KFunction
 from fnclass.scan5 import _domain_maps, _orbit
@@ -266,11 +266,13 @@ class TestCanonicalForm:
             return _id_images(ids, factor)
 
         monkeypatch.setattr(groups, "_id_images", counted_images)
-        assert orbit_keys(parity, ge).tolist() == [0x69969669, 0x96696996]
+        ids = np.array([parity.id], np.intp)
+        assert _expand(ids, groups._id_images, _rounds(_id_action, ge),
+                       1 << 22).tolist() == [0x69969669, 0x96696996]
         assert rounds == [119, 31, 1]
         rounds.clear()
-        assert orbit_keys(parity, ge, max_orbit=2).tolist() == \
-            [0x69969669, 0x96696996]
+        assert _expand(ids, groups._id_images, _rounds(_id_action, ge),
+                       2).tolist() == [0x69969669, 0x96696996]
         assert rounds == [1, 2, 3, 4, 1, 1, 1, 1, 1, 1]
         assert canonical_form(parity, ge, max_orbit=2).id == 0x69969669
         with pytest.raises(OrbitBudgetError):
@@ -286,31 +288,32 @@ class TestOrbits:
         assert count_orbits(GroupDescriptor(name, k, n)) == count
 
     def test_transversal_partitions_space(self):
-        tv = orbit_transversal(GroupDescriptor("g", 2, 2))
-        assert len(tv) == 6
-        assert sum(size for _, size in tv) == 16
-        # representatives are the orbit minima and pairwise inequivalent
         gd = GroupDescriptor("g", 2, 2)
-        for rep, _ in tv:
+        minima, sizes = orbit_minima(orbit_partition(gd))
+        assert len(minima) == 6
+        assert sizes.sum() == 16
+        # representatives are the orbit minima and pairwise inequivalent
+        reps = [KFunction.from_id(x, 2, 2) for x in minima.tolist()]
+        for rep in reps:
             assert canonical_form(rep, gd) == rep
-        forms = {canonical_form(rep, gd).id for rep, _ in tv}
+        forms = {canonical_form(rep, gd).id for rep in reps}
         assert len(forms) == 6
 
     def test_genus_orbits_match_table1_partition(self):
         # the four orbit classes coincide with the four imp-classes
         from fnclass.tables import TABLE1
-        tv = orbit_transversal(GroupDescriptor("ge", 2, 2))
-        assert len(tv) == 4
         gd = GroupDescriptor("ge", 2, 2)
+        minima, sizes = orbit_minima(orbit_partition(gd))
+        assert len(minima) == 4
         listed = {}
         for members, imp, size in TABLE1:
             reps = {canonical_form(parse(e, 2, arity=2), gd).id
                     for e in members}
             assert len(reps) == 1
             listed[reps.pop()] = (len(members), imp)
-        for rep, size in tv:
-            assert rep.id in listed
-            assert listed[rep.id][0] == size
+        for least, size in zip(minima.tolist(), sizes.tolist()):
+            assert least in listed
+            assert listed[least][0] == size
 
     def test_space_too_large(self):
         with pytest.raises(OrbitBudgetError):
@@ -401,7 +404,7 @@ class TestOrbitOracles:
         elements = list(group_elements(gd))
         labels = orbit_partition(gd)
         assert int(np.unique(labels).size) == count_orbits(gd) == \
-            len(orbit_transversal(gd)) == burnside_orbits(elements, k)
+            orbit_minima(labels)[0].size == burnside_orbits(elements, k)
         rng = random.Random(f"{name}{k}{n}")
         for x in rng.sample(range(labels.size), 4):
             f = KFunction.from_id(x, k, n)
@@ -445,9 +448,12 @@ class TestOrbitBfs:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_p25_ge_orbit_matches_scan5(self, seed):
         w = random.Random(seed).getrandbits(32)
-        orbit = orbit_keys(KFunction.from_word(w, 5), GroupDescriptor("ge", 2, 5))
+        ge = GroupDescriptor("ge", 2, 5)
+        orbit = _expand(np.array([w], np.intp), groups._id_images,
+                        _rounds(_id_action, ge), 1 << 22)
         assert orbit.dtype == np.intp  # the id expansion
         assert orbit.tolist() == _orbit(w, _domain_maps(5)).tolist()
+        assert canonical_form(KFunction.from_word(w, 5), ge).id == orbit[0]
 
     @pytest.mark.parametrize("name,k,n", ORACLE_SPACES)
     def test_row_and_id_bfs_agree(self, name, k, n):
@@ -549,10 +555,10 @@ def _both(cases):
 
 
 class TestFactorizations:
-    # `orbit_partition` lowers x's label over t_1 ... t_r x and `orbit_keys`
-    # reaches t_r ... t_1 f, one element or the identity per (merged)
-    # factor: a factor that misses part of the group would give wrong
-    # labels or forms silently
+    # `orbit_partition` lowers x's label over t_1 ... t_r x and
+    # `canonical_form` reaches t_r ... t_1 f, one element or the identity
+    # per (merged) factor: a factor that misses part of the group would
+    # give wrong labels or forms silently
     @pytest.mark.parametrize("which,name,k,n", _both([
         (name, k, n) for k, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                   (5, 1), (7, 1))

@@ -52,6 +52,12 @@ def test_mutant_name_validated():
         run_checks(mutant="bogus")
 
 
+def test_check_names_validated():
+    # a misspelt name must not pass by running nothing
+    with pytest.raises(ValueError, match="cofactor-law'"):
+        run_checks(names=["cofactor-law", "label-lemma"])
+
+
 def test_single_fix_check_reports_known_counterexample():
     # the single-variable fixing claim fails once distributive sets need
     # two variables; cf53 is the smallest sampled witness we pin here
