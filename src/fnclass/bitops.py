@@ -292,10 +292,18 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distinct(lattice: Lattice) -> np.ndarray:
-    """(rows, N) bool: True on one row of each distinct table of a function."""
-    order = np.argsort(lattice.keys, axis=0)
+    """(rows, N) bool: True on one row of each distinct table of a function.
+
+    Word keys of at most 16 bits (void keys are wider than 64) sort with
+    numpy's radix sort, kind="stable", about three times faster than the
+    default there; wider keys keep the default, which beats the radix sort
+    on uint32 keys.  Equal keys are equal tables, so which of their rows
+    is marked does not matter."""
+    keys = lattice.keys
+    order = np.argsort(keys, axis=0,
+                       kind="stable" if keys.dtype.itemsize <= 2 else None)
     fn = np.arange(order.shape[1])
-    ordered = lattice.keys[order, fn]
+    ordered = keys[order, fn]
     new = np.ones(ordered.shape, dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
     out = np.empty_like(new)

@@ -33,9 +33,11 @@ factor is applied only while the keys so far times its elements plus one
 stay within `max_orbit`; otherwise its factors run one at a time, so the
 same orbits are refused.  Both passes read an element's action on ids as
 partial-sum tables of at most ID_TABLE entries, cached per part and space
-(`_part_action`, `_part_rounds`); above ID_SPACE = 2^63 functions (P_2^6,
-P_3^4, ...) ids no longer fit intp, and the expansion runs on
-`bitops.row_keys` of table rows.
+(`_part_action`, `_part_rounds`), and hold ids in the space's id dtype
+(`_id_dtype`): the narrowest unsigned one that holds them, at least uint16,
+so P_2^4's ids take 2 bytes and P_2^5's 4.  Above ID_SPACE = 2^63
+functions (P_2^6, P_3^4, ...) the expansion runs on `bitops.row_keys` of
+table rows instead.
 """
 
 from __future__ import annotations
@@ -442,7 +444,14 @@ def _action(build, gd: GroupDescriptor) -> tuple:
 # ---------------------------------------------------------------------------
 
 ID_TABLE = 256  # entries per partial-sum table, elements per merged factor
-ID_SPACE = 1 << 63  # the largest space whose function ids all fit intp
+ID_SPACE = 1 << 63  # the largest space whose ids the expansion runs on
+
+
+def _id_dtype(size: int) -> np.dtype:
+    """The dtype of the ids of a space of `size` functions: the narrowest
+    unsigned one that holds size - 1, at least uint16 (at uint8, NumPy's
+    scalar rules reject the 256 of `_id_images`' ids % 256)."""
+    return np.result_type(np.uint16, np.min_scalar_type(size - 1))
 
 
 def _maps(factor) -> tuple[np.ndarray, np.ndarray]:
@@ -527,14 +536,17 @@ def _readonly(arrays):
 
 def _id_action(maps) -> tuple[np.ndarray, ...]:
     """A factor's elements' actions on ids as partial-sum tables: one
-    read-only (elements, k^c) array per chunk of c cells, highest first.
+    read-only (elements, k^c) array per chunk of c cells, highest first,
+    in the space's `_id_dtype`.
 
     An element sends id = sum_s k^s v_s to sum_s W[s][v_s], where
     W[s][v] = k^x out[x][v] for the cell x with dom[x] = s.  The cells are
     grouped into chunks of c, the most with k^c <= ID_TABLE, and each
     chunk's W rows are summed into one table of k^c entries, so an
     element's id permutation is `_outer_sum` of its tables.  Only for
-    spaces of at most ID_SPACE functions, where the sums cannot overflow.
+    spaces of at most ID_SPACE functions.  An entry plus one entry of
+    every other chunk is at most the largest id, so no sum of the tables
+    overflows the id dtype.
     """
     dom, out = maps
     elements, cells, k = out.shape
@@ -547,7 +559,7 @@ def _id_action(maps) -> tuple[np.ndarray, ...]:
         mid = (lo + hi) // 2  # a chunk's table: the outer sum of its halves'
         tables.append((_digit_sums(w[:, mid:hi])[:, :, None]
                        + _digit_sums(w[:, lo:mid])[:, None]).reshape(
-                           elements, -1))
+                           elements, -1).astype(_id_dtype(k ** cells)))
     return _readonly(tuple(tables[::-1]))
 
 
@@ -621,8 +633,9 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
-    if space_size(gd.k, gd.n, ID_SPACE):
-        least = _expand(np.array([f.id], np.intp), _id_images,
+    size = space_size(gd.k, gd.n, ID_SPACE)
+    if size:
+        least = _expand(np.array([f.id], _id_dtype(size)), _id_images,
                         _rounds(_id_action, gd), max_orbit)[0]
         return KFunction.from_id(int(least), f.k, f.n)
     table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
@@ -636,22 +649,27 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
 
 def orbit_partition(gd: GroupDescriptor,
                     max_space: int = 1 << 22) -> np.ndarray:
-    """Orbit label (the orbit's minimal function id) for every id in the space.
+    """Orbit label (the orbit's minimal function id) for every id in the
+    space, in the space's id dtype (`_id_dtype`: uint16 up to P_2^4,
+    uint32 on P_7^1).
 
     One pass over the group's factors: every id starts as its own label,
     and each factor element t lowers it to its image's (lab = min(lab,
     lab[t x]), in place), so lab[x] ends as the least id of t_1 ... t_r x
     over one element or the identity per factor: the whole group.  Each
-    element's intp id permutation is rebuilt from its cached `_id_action`
+    element's id permutation is rebuilt from its cached `_id_action`
     tables into one preallocated array (cheaper than holding every
-    permutation and than indexing with int32) and gathered into another,
-    so the pass allocates no other array of the space's size.
+    permutation) and gathered into another.  The labels, the gathered
+    labels and the permutation are all in the id dtype, so on P_2^4 the
+    three take 384 KB (intp ids would take 1.5 MB); the pass allocates no
+    other array of the space's size but the intp copy of the permutation
+    that `np.take` makes for its indices.
     """
     size = space_size(gd.k, gd.n, max_space)
     if size is None:
         raise OrbitBudgetError(f"P_{gd.k}^{gd.n} has more functions than the "
                                f"scan budget {max_space}")
-    lab = np.arange(size, dtype=np.intp)
+    lab = np.arange(size, dtype=_id_dtype(size))
     spare, perm = np.empty_like(lab), np.empty_like(lab)
     for factor in _action(_id_action, gd):
         for tables in zip(*factor):  # one element at a time
@@ -661,7 +679,7 @@ def orbit_partition(gd: GroupDescriptor,
             # ids are in range; "clip" keeps np.take from buffering `out`
             np.take(lab, ids, out=spare, mode="clip")
             np.minimum(lab, spare, out=lab)
-    return lab.astype(np.int64, copy=False)
+    return lab
 
 
 def orbit_minima(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

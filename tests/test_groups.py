@@ -9,7 +9,8 @@ import pytest
 from fnclass import bitops, groups
 from fnclass.groups import (GROUP_NAMES, GroupDescriptor, ID_TABLE,
                             OrbitBudgetError, Transformation, _GROUPS, _PARTS,
-                            _action, _expand, _id_action, _id_images, _maps,
+                            _action, _expand, _id_action, _id_dtype,
+                            _id_images, _maps,
                             _merged, _outer_sum, _rounds, _row_action,
                             _row_images, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
@@ -414,9 +415,10 @@ class TestOrbitOracles:
 
     @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("g", 7, 1)])
     def test_partition_allocates_no_round_temporaries(self, name, k, n):
-        # the labels, a spare and the id permutation; the pass keeps no
-        # other copy of the labels, so a temporary of the space's size per
-        # factor element would add a whole label array
+        # the labels, a spare and the id permutation in the id dtype (2
+        # bytes per id on P_2^4, 4 on P_7^1) and np.take's intp copy of the
+        # permutation: 1.75 and 2.5 intp arrays; one more intp temporary of
+        # the space's size per factor element would pass the bound
         gd = GroupDescriptor(name, k, n)
         orbit_partition(gd)  # build the cached factor tables
         tracemalloc.start()
@@ -425,7 +427,7 @@ class TestOrbitOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * labels.nbytes
+        assert peak < 3.0 * labels.size * 8
 
     @pytest.mark.parametrize("name,k,n", [("ge", 2, 5), ("cf", 2, 7),
                                           ("s", 3, 4), ("ge", 15, 1),
@@ -449,9 +451,9 @@ class TestOrbitBfs:
     def test_p25_ge_orbit_matches_scan5(self, seed):
         w = random.Random(seed).getrandbits(32)
         ge = GroupDescriptor("ge", 2, 5)
-        orbit = _expand(np.array([w], np.intp), groups._id_images,
+        orbit = _expand(np.array([w], np.uint32), groups._id_images,
                         _rounds(_id_action, ge), 1 << 22)
-        assert orbit.dtype == np.intp  # the id expansion
+        assert orbit.dtype == np.uint32  # the id expansion, in the id dtype
         assert orbit.tolist() == _orbit(w, _domain_maps(5)).tolist()
         assert canonical_form(KFunction.from_word(w, 5), ge).id == orbit[0]
 
@@ -485,6 +487,41 @@ class TestOrbitBfs:
             assert canonical_form(f, gd).id == labels[x]
 
 
+class TestIdDtype:
+    # each space's ids in the narrowest unsigned dtype that holds them, at
+    # least uint16: P_2^3 at the floor, P_2^4's 2^16 ids exactly filling
+    # uint16, P_7^1 in uint32, P_3^3 and P_15^1 (expansion only) in uint64;
+    # ge holds the output translations cf, lf the added linear functions,
+    # and both send id 0 and the largest id elsewhere
+    @pytest.mark.parametrize("k,n,dtype", [(2, 3, np.uint16),
+                                           (2, 4, np.uint16),
+                                           (3, 2, np.uint16),
+                                           (7, 1, np.uint32),
+                                           (3, 3, np.uint64),
+                                           (15, 1, np.uint64)])
+    @pytest.mark.parametrize("name", ["ge", "lf"])
+    def test_ids_at_the_dtype_bounds(self, name, k, n, dtype):
+        gd = GroupDescriptor(name, k, n)
+        size = k ** k ** n
+        assert _id_dtype(size) == dtype
+        for tables in (*_action(_id_action, gd),
+                       *(merged for merged, _, _ in _rounds(_id_action, gd))):
+            assert all(table.dtype == dtype for table in tables)
+            # every element's largest image is the largest id, no more
+            assert (sum(table.max(axis=1).astype(object) for table in tables)
+                    == size - 1).all()
+        elements = list(group_elements(gd))
+        labels = orbit_partition(gd) if size <= 1 << 22 else None
+        if labels is not None:
+            assert labels.dtype == dtype
+        for x in (0, size - 1):
+            f = KFunction.from_id(x, k, n)
+            least = min(t.apply(f).id for t in elements)
+            assert canonical_form(f, gd).id == least
+            if labels is not None:
+                assert labels[x] == least
+
+
 # -- the id permutations of the orbit partition, against Transformation.apply
 
 def _all_generators(k, n):
@@ -505,7 +542,7 @@ class TestIdPermutations:
                else random.Random(f"{k}{n}").sample(range(size), 2000))
         for t in _all_generators(k, n):
             perm = _outer_sum(table[0] for table in _id_action(_maps([t])))
-            assert perm.shape == (size,) and perm.dtype == np.intp
+            assert perm.shape == (size,) and perm.dtype == _id_dtype(size)
             assert (np.bincount(perm, minlength=size) == 1).all()
             expected = [t.apply(KFunction.from_id(x, k, n)).id for x in ids]
             assert perm[list(ids)].tolist() == expected, t
