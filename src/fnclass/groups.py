@@ -24,7 +24,11 @@ T U W U for GL(n, k) (Bruhat).  A group's factors are its parts' in turn,
 so a least id over the group is one sequential minimum per factor:
 `orbit_partition` lowers every id's label to its image's under each factor
 element once, and `orbit_minima` reads every orbit's least id and size
-off the labels.  `canonical_form` expands one function's orbit over merged
+off the labels.  A group's base (`_BASE`) is the named group whose parts
+are the longest proper prefix of its own (ge's is g, rag's and axa1's
+a), so its factors start the group's: the pass resumes from the base's
+labels, and the labels of the bases s, g, lg and a are cached read-only,
+one space's worth.  `canonical_form` expands one function's orbit over merged
 factors (`_merged`): consecutive factors of one part merge into one factor
 of all their non-identity products for as long as it cannot exceed
 ID_TABLE = 256 elements (ge on P_2^5: 10 factors, 3 merged ones of 119, 31
@@ -363,6 +367,14 @@ _GROUPS = {
     "fullsym": ("s", "vals", "outs"),
 }
 GROUP_NAMES = tuple(_GROUPS)
+# each group's base: the named group whose parts are the longest proper
+# prefix of its own (g -> s, ge -> g, a -> lg, axa1 -> a, rag -> a,
+# fullsym -> s), or None; its factors start the group's
+_BASE = {name: max((base for base, prefix in _GROUPS.items()
+                    if len(prefix) < len(parts)
+                    and parts[:len(prefix)] == prefix),
+                   key=lambda base: len(_GROUPS[base]), default=None)
+         for name, parts in _GROUPS.items()}
 
 
 @dataclass(frozen=True)
@@ -650,35 +662,62 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
 def orbit_partition(gd: GroupDescriptor,
                     max_space: int = 1 << 22) -> np.ndarray:
     """Orbit label (the orbit's minimal function id) for every id in the
-    space, in the space's id dtype (`_id_dtype`: uint16 up to P_2^4,
-    uint32 on P_7^1).
+    space, read-only, in the space's id dtype (`_id_dtype`: uint16 up to
+    P_2^4, uint32 on P_7^1).
 
     One pass over the group's factors: every id starts as its own label,
     and each factor element t lowers it to its image's (lab = min(lab,
     lab[t x]), in place), so lab[x] ends as the least id of t_1 ... t_r x
-    over one element or the identity per factor: the whole group.  Each
-    element's id permutation is rebuilt from its cached `_id_action`
-    tables into one preallocated array (cheaper than holding every
-    permutation) and gathered into another.  The labels, the gathered
-    labels and the permutation are all in the id dtype, so on P_2^4 the
-    three take 384 KB (intp ids would take 1.5 MB); the pass allocates no
-    other array of the space's size but the intp copy of the permutation
-    that `np.take` makes for its indices.
+    over one element or the identity per factor: the whole group.  A group
+    with a base (`_BASE`) resumes from the base's labels, which are that
+    same pass stopped after the base's factors, and lowers them over its
+    remaining factors only, so the labels are identical.  The labels of
+    the bases s, g, lg and a are cached (`_base_labels`), at most four
+    arrays, one space's worth: a repeat call of a base gathers nothing, and
+    one of ge, axa1, rag or fullsym only over the parts beyond its base.
     """
-    size = space_size(gd.k, gd.n, max_space)
-    if size is None:
+    if space_size(gd.k, gd.n, max_space) is None:
         raise OrbitBudgetError(f"P_{gd.k}^{gd.n} has more functions than the "
                                f"scan budget {max_space}")
-    lab = np.arange(size, dtype=_id_dtype(size))
-    spare, perm = np.empty_like(lab), np.empty_like(lab)
-    for factor in _action(_id_action, gd):
-        for tables in zip(*factor):  # one element at a time
-            *head, last = tables
-            ids = last if not head else np.add.outer(
-                _outer_sum(head), last, out=perm.reshape(-1, last.size)).ravel()
-            # ids are in range; "clip" keeps np.take from buffering `out`
-            np.take(lab, ids, out=spare, mode="clip")
-            np.minimum(lab, spare, out=lab)
+    return (_base_labels if gd.name in _BASE.values() else _labels)(gd)
+
+
+@functools.lru_cache(maxsize=4)  # s, g, lg and a: every base of one space
+def _base_labels(gd: GroupDescriptor) -> np.ndarray:
+    """`_labels` of a group that is another group's base, kept."""
+    return _labels(gd)
+
+
+def _labels(gd: GroupDescriptor) -> np.ndarray:
+    """The label pass of `orbit_partition`, from its base's labels (a copy)
+    or from every id its own label; read-only labels.
+
+    Each element's id permutation is rebuilt from its cached `_id_action`
+    tables into one preallocated intp array (cheaper than holding every
+    permutation, and `np.take` gathers with intp indices without copying
+    them) and gathered into a spare array in the id dtype.  On P_2^4 the
+    labels and the spare take 128 KB each and the permutation 512 KB, and
+    the pass allocates no other array of that size.
+    """
+    k, n = gd.k, gd.n
+    size, base = k ** k ** n, _BASE[gd.name]
+    if base is None:
+        lab, parts = np.arange(size, dtype=_id_dtype(size)), _GROUPS[gd.name]
+    else:
+        lab = _base_labels(GroupDescriptor(base, k, n)).copy()
+        parts = _GROUPS[gd.name][len(_GROUPS[base]):]
+    perm, spare = np.empty(size, np.intp), np.empty_like(lab)
+    for part in parts:
+        for factor in _part_action(_id_action, part, k, n):
+            for tables in zip(*factor):  # one element at a time
+                *head, last = tables
+                ids = last if not head else np.add.outer(
+                    _outer_sum(head), last,
+                    out=perm.reshape(-1, last.size)).ravel()
+                # ids are in range; "clip" keeps np.take from buffering `out`
+                np.take(lab, ids, out=spare, mode="clip")
+                np.minimum(lab, spare, out=lab)
+    lab.flags.writeable = False
     return lab
 
 
@@ -686,7 +725,8 @@ def orbit_minima(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(minima, sizes) of `orbit_partition` labels: every orbit's least id,
     ascending, and the number of ids in it.  An orbit's minimum is the one
     id that is its own label."""
-    minima = np.flatnonzero(labels == np.arange(labels.size))
+    minima = np.flatnonzero(labels == np.arange(labels.size,
+                                                dtype=labels.dtype))
     return minima, np.bincount(labels)[minima]
 
 
@@ -694,4 +734,5 @@ def count_orbits(gd: GroupDescriptor, max_space: int = 1 << 22) -> int:
     """t(G): the number of orbits of the group on the whole function space,
     the ids that are their own label."""
     labels = orbit_partition(gd, max_space=max_space)
-    return int(np.count_nonzero(labels == np.arange(labels.size)))
+    return int(np.count_nonzero(
+        labels == np.arange(labels.size, dtype=labels.dtype)))

@@ -8,10 +8,11 @@ import pytest
 
 from fnclass import bitops, groups
 from fnclass.groups import (GROUP_NAMES, GroupDescriptor, ID_TABLE,
-                            OrbitBudgetError, Transformation, _GROUPS, _PARTS,
-                            _action, _expand, _id_action, _id_dtype,
+                            OrbitBudgetError, Transformation, _BASE, _GROUPS,
+                            _PARTS, _action, _expand, _id_action, _id_dtype,
                             _id_images, _maps,
-                            _merged, _outer_sum, _rounds, _row_action,
+                            _merged, _outer_sum, _part_action, _rounds,
+                            _row_action,
                             _row_images, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
                             group_element, group_elements, group_generators,
@@ -415,12 +416,16 @@ class TestOrbitOracles:
 
     @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("g", 7, 1)])
     def test_partition_allocates_no_round_temporaries(self, name, k, n):
-        # the labels, a spare and the id permutation in the id dtype (2
-        # bytes per id on P_2^4, 4 on P_7^1) and np.take's intp copy of the
-        # permutation: 1.75 and 2.5 intp arrays; one more intp temporary of
-        # the space's size per factor element would pass the bound
+        # a first call makes the labels of every base on the group's chain
+        # (lg and a for rag, s for g, cached) and its own, a spare in the
+        # id dtype (2 bytes per id on P_2^4, 4 on P_7^1) and one intp
+        # permutation that np.take gathers with as it is: 2.1 and 2.5 intp
+        # arrays; one more intp temporary of the space's size per factor
+        # element, such as np.take's copy of narrow indices, would pass
+        # the bound
         gd = GroupDescriptor(name, k, n)
         orbit_partition(gd)  # build the cached factor tables
+        groups._base_labels.cache_clear()
         tracemalloc.start()
         try:
             labels = orbit_partition(gd)
@@ -623,11 +628,16 @@ class TestFactorizations:
             assert _products(factors, 7, 1) == elements
 
     @pytest.mark.parametrize("name,k,n", [("rag", 2, 4), ("fullsym", 3, 2),
-                                          ("axa1", 5, 1), ("g", 7, 1)])
+                                          ("axa1", 5, 1), ("g", 7, 1),
+                                          ("lf", 3, 2)])
     def test_partition_gathers_once_per_factor_element(self, name, k, n,
                                                         monkeypatch):
+        # with no labels cached a call gathers once per element of its
+        # whole part chain; a repeat resumes from its base's cached labels
+        # and gathers over the parts beyond the base only, and a base's
+        # repeat comes from the cache with no gather
         gd = GroupDescriptor(name, k, n)
-        labels = orbit_partition(gd)  # build the cached tables
+        orbit_partition(gd)  # build the cached tables
         take, gathers = np.take, []
 
         def counted_take(*args, **kwargs):
@@ -635,7 +645,55 @@ class TestFactorizations:
             return take(*args, **kwargs)
 
         monkeypatch.setattr(np, "take", counted_take)
-        assert orbit_partition(gd).tolist() == labels.tolist()
+        groups._base_labels.cache_clear()
+        labels = orbit_partition(gd)
         assert len(gathers) == sum(map(len, _action(tuple, gd))) == \
             len(group_generators(gd))
         assert gathers == [labels.size] * len(gathers)
+        gathers.clear()
+        assert orbit_partition(gd).tolist() == labels.tolist()
+        base = _BASE[name]
+        beyond = _GROUPS[name][len(_GROUPS[base]) if base else 0:]
+        assert len(gathers) == (0 if name in _BASE.values() else sum(
+            len(factor) for part in beyond
+            for factor in _part_action(tuple, part, k, n)))
+        assert gathers == [labels.size] * len(gathers)
+
+
+# -- resuming from a base's cached labels, against the pass from every id
+
+def _reference_partition(gd):
+    """Every id its own label, lowered over each element of every factor
+    of the group in turn: the label pass with no base."""
+    size = gd.k ** gd.k ** gd.n
+    lab = np.arange(size, dtype=_id_dtype(size))
+    for factor in _action(_id_action, gd):
+        for tables in zip(*factor):  # one element at a time
+            np.minimum(lab, lab[_outer_sum(tables)], out=lab)
+    return lab
+
+
+class TestBaseResume:
+    def test_base_parts_are_a_proper_prefix(self):
+        assert {name: base for name, base in _BASE.items() if base} == {
+            "g": "s", "ge": "g", "a": "lg", "axa1": "a", "rag": "a",
+            "fullsym": "s"}
+        for name, base in _BASE.items():
+            if base is not None:
+                prefix = _GROUPS[base]
+                assert len(prefix) < len(_GROUPS[name])
+                assert _GROUPS[name][:len(prefix)] == prefix
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                     (3, 2), (5, 1), (7, 1)])
+    def test_labels_match_the_pass_from_every_id(self, k, n):
+        # bases computed before and after the groups resuming from them
+        gds = [GroupDescriptor(name, k, n) for name in GROUP_NAMES]
+        expected = {gd: _reference_partition(gd) for gd in gds}
+        for order in (gds, gds[::-1]):
+            groups._base_labels.cache_clear()
+            for gd in order:
+                labels = orbit_partition(gd)
+                assert not labels.flags.writeable
+                assert labels.dtype == expected[gd].dtype
+                assert labels.tobytes() == expected[gd].tobytes(), gd

@@ -49,3 +49,18 @@ def test_scan5_builds_lattices_straight_from_ids():
     names = {node.attr for node in ast.walk(tree(path))
              if isinstance(node, ast.Attribute)}
     assert "keys_from_ids" in names and "tables_from_ids" not in names
+
+
+def test_one_label_pass_in_groups():
+    # the orbit labels are gathered in one pass, which resumes from a
+    # group's base: no second gather loop beside it
+    path = Path(fnclass.__file__).parent / "groups.py"
+    callers = {fn.name for fn in ast.walk(tree(path))
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "take"
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id in ("np", "numpy")}
+    assert len(callers) == 1, f"np.take in {sorted(callers)}"
