@@ -32,16 +32,18 @@ one space's worth.  `canonical_form` expands one function's orbit over merged
 factors (`_merged`): consecutive factors of one part merge into one factor
 of all their non-identity products for as long as it cannot exceed
 ID_TABLE = 256 elements (ge on P_2^5: 10 factors, 3 merged ones of 119, 31
-and 1 elements), so a round is one stacked lookup and one sort.  A merged
-factor is applied only while the keys so far times its elements plus one
-stay within `max_orbit`; otherwise its factors run one at a time, so the
-same orbits are refused.  Both passes read an element's action on ids as
-partial-sum tables of at most ID_TABLE entries, cached per part and space
-(`_part_action`, `_part_rounds`), and hold ids in the space's id dtype
-(`_id_dtype`): the narrowest unsigned one that holds them, at least uint16,
-so P_2^4's ids take 2 bytes and P_2^5's 4.  Above ID_SPACE = 2^63
-functions (P_2^6, P_3^4, ...) the expansion runs on `bitops.row_keys` of
-table rows instead.
+and 1 elements), so a round is one stacked lookup per chunk of cells and
+one sort, and on ids the last round only takes the least image, unsorted.
+A merged factor is applied only while the keys so far times its elements
+plus one stay within `max_orbit`; otherwise its factors run one at a
+time, so the same orbits are refused.  Both passes read an element's
+action on ids as partial-sum tables of at most ID_TABLE entries, cached
+per part and space (`_part_action`, `_part_rounds`), and hold ids in the
+space's id dtype (`_id_dtype`): the narrowest unsigned one that holds
+them, so P_2^3's ids take 1 byte, P_2^4's 2 and P_2^5's 4.  Where every
+table has 256 entries (k = 2, 4, 16) the expansion reads a chunk's digit
+as a byte of the id.  Above ID_SPACE = 2^63 functions (P_2^6, P_3^4, ...)
+the expansion runs on `bitops.row_keys` of table rows instead.
 """
 
 from __future__ import annotations
@@ -461,9 +463,10 @@ ID_SPACE = 1 << 63  # the largest space whose ids the expansion runs on
 
 def _id_dtype(size: int) -> np.dtype:
     """The dtype of the ids of a space of `size` functions: the narrowest
-    unsigned one that holds size - 1, at least uint16 (at uint8, NumPy's
-    scalar rules reject the 256 of `_id_images`' ids % 256)."""
-    return np.result_type(np.uint16, np.min_scalar_type(size - 1))
+    unsigned one that holds size - 1 (uint8 up to P_2^3, P_3^1 and P_4^1).
+    `_id_images` divides only by tables smaller than 256 entries, so no
+    id is ever divided by 256."""
+    return np.min_scalar_type(size - 1)
 
 
 def _maps(factor) -> tuple[np.ndarray, np.ndarray]:
@@ -548,8 +551,8 @@ def _readonly(arrays):
 
 def _id_action(maps) -> tuple[np.ndarray, ...]:
     """A factor's elements' actions on ids as partial-sum tables: one
-    read-only (elements, k^c) array per chunk of c cells, highest first,
-    in the space's `_id_dtype`.
+    read-only, column-major (elements, k^c) array per chunk of c cells,
+    highest first, in the space's `_id_dtype`.
 
     An element sends id = sum_s k^s v_s to sum_s W[s][v_s], where
     W[s][v] = k^x out[x][v] for the cell x with dom[x] = s.  The cells are
@@ -571,7 +574,8 @@ def _id_action(maps) -> tuple[np.ndarray, ...]:
         mid = (lo + hi) // 2  # a chunk's table: the outer sum of its halves'
         tables.append((_digit_sums(w[:, mid:hi])[:, :, None]
                        + _digit_sums(w[:, lo:mid])[:, None]).reshape(
-                           elements, -1).astype(_id_dtype(k ** cells)))
+                           elements, -1).astype(_id_dtype(k ** cells),
+                                                order="F"))
     return _readonly(tuple(tables[::-1]))
 
 
@@ -583,12 +587,29 @@ def _digit_sums(w: np.ndarray) -> np.ndarray:
 
 
 def _id_images(ids: np.ndarray, factor) -> np.ndarray:
-    """The ids of the images of `ids` under a factor's elements: per chunk
-    of cells one digit of each id, looked up in every element's table."""
+    """The ids of the images of `ids` under a factor's elements, flat and
+    id-major (every element's image of the first id, then of the next),
+    from one digit of each id per chunk of cells, looked up in every
+    element's table.
+
+    Where every table has 256 entries (k = 2, 4, 16) chunk j's digit is
+    byte j of the id, read through a little-endian uint8 view; smaller
+    tables (k = 3, 5, 7, ...) take ids % k^c and ids // k^c per chunk.  A
+    table is column-major (`_id_action`), so a digit's entries for every
+    element are one contiguous row of its transpose, which `take` copies.
+    """
+    tables = factor[::-1]  # the lowest chunk first
+    if all(table.shape[1] == 256 for table in tables):
+        digits = np.ascontiguousarray(ids, ids.dtype.newbyteorder("<")).view(
+            np.uint8).reshape(ids.size, -1).T
+    else:
+        digits = []
+        for table in tables:
+            digits.append(ids % table.shape[1])
+            ids = ids // table.shape[1]
     images = 0
-    for part in reversed(factor):
-        images = images + part[:, ids % part.shape[1]]
-        ids = ids // part.shape[1]
+    for table, digit in zip(tables, digits):
+        images = images + table.T.take(digit, axis=0)
     return images.ravel()
 
 
@@ -640,15 +661,23 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
     The orbit is expanded over the group's merged factors (`_expand`) on
     function ids in spaces of at most ID_SPACE functions, on the
     `bitops.row_keys` of the tables above that; either way its least key
-    is the form.  `max_orbit` bounds the expansion.  Two functions are
-    G-equivalent iff their canonical forms coincide.
+    is the form.  On ids the last round, where its merged factor fits the
+    budget, keeps only the least of the keys and their images: no sort,
+    and the union it skips could not have exceeded `max_orbit`, so the
+    same orbits are refused.  `max_orbit` bounds the expansion.  Two
+    functions are G-equivalent iff their canonical forms coincide.
     """
     if (f.k, f.n) != (gd.k, gd.n):
         raise ValueError("function does not live in the group's space")
     size = space_size(gd.k, gd.n, ID_SPACE)
     if size:
-        least = _expand(np.array([f.id], _id_dtype(size)), _id_images,
-                        _rounds(_id_action, gd), max_orbit)[0]
+        rounds = _rounds(_id_action, gd)
+        keys = _expand(np.array([f.id], _id_dtype(size)), _id_images,
+                       rounds[:-1], max_orbit)
+        if rounds and keys.size * (rounds[-1][1] + 1) <= max_orbit:
+            least = min(keys[0], _id_images(keys, rounds[-1][0]).min())
+        else:  # over budget, or no rounds at all
+            least = _expand(keys, _id_images, rounds[-1:], max_orbit)[0]
         return KFunction.from_id(int(least), f.k, f.n)
     table = np.frombuffer(f.values, dtype=np.uint8)[None, :]
     least = _expand(bitops.row_keys(table, gd.k), _row_images,
@@ -662,8 +691,8 @@ def canonical_form(f: KFunction, gd: GroupDescriptor,
 def orbit_partition(gd: GroupDescriptor,
                     max_space: int = 1 << 22) -> np.ndarray:
     """Orbit label (the orbit's minimal function id) for every id in the
-    space, read-only, in the space's id dtype (`_id_dtype`: uint16 up to
-    P_2^4, uint32 on P_7^1).
+    space, read-only, in the space's id dtype (`_id_dtype`: uint8 up to
+    P_2^3, uint16 on P_2^4, uint32 on P_7^1).
 
     One pass over the group's factors: every id starts as its own label,
     and each factor element t lowers it to its image's (lab = min(lab,

@@ -10,8 +10,9 @@ from fnclass import bitops, groups
 from fnclass.groups import (GROUP_NAMES, GroupDescriptor, ID_TABLE,
                             OrbitBudgetError, Transformation, _BASE, _GROUPS,
                             _PARTS, _action, _expand, _id_action, _id_dtype,
-                            _id_images, _maps,
-                            _merged, _outer_sum, _part_action, _rounds,
+                            _id_images, _is_prime, _maps,
+                            _merged, _outer_sum, _part_action, _part_rounds,
+                            _rounds,
                             _row_action,
                             _row_images, add_linear, affine,
                             arg_translate, canonical_form, count_orbits,
@@ -280,6 +281,46 @@ class TestCanonicalForm:
         with pytest.raises(OrbitBudgetError):
             canonical_form(parity, ge, max_orbit=1)
 
+    @pytest.mark.parametrize("name,k,n,seeds", [
+        ("ge", 2, 5, ("parity", 1, 2)),
+        *((name, 2, 4, (1, 2)) for name in GROUP_NAMES),
+        ("s", 5, 1, (1,))])
+    def test_budget_matches_the_whole_expansion(self, name, k, n, seeds):
+        # the id path keeps only the least image of its last round when
+        # that round's merged factor fits the budget; at every budget up
+        # to the orbit's size + 1 where either path can decide otherwise
+        # it must refuse exactly what `_expand` over all rounds refuses,
+        # and otherwise give its least key (s on P_5^1 has no factors, so
+        # no rounds).  Keys only accumulate, so `_expand` refuses exactly
+        # the budgets below the orbit's size, and round r takes its merged
+        # factor from the budget |keys before r| * (elements + 1) on: those
+        # bounds, their neighbours, every budget up to 64 and every 97th
+        # (every budget up to rag's orbits takes minutes)
+        gd = GroupDescriptor(name, k, n)
+        size = k ** k ** n
+        rounds = _rounds(_id_action, gd)
+        for seed in seeds:
+            f = (KFunction.from_word(0x96696996, 5) if seed == "parity"
+                 else KFunction.from_id(random.Random(seed).randrange(size),
+                                        k, n))
+            ids = np.array([f.id], _id_dtype(size))
+            orbit = _expand(ids, _id_images, rounds, 1 << 22)
+            bounds = {orbit.size} | {
+                _expand(ids, _id_images, rounds[:r], 1 << 22).size
+                * (elements + 1) for r, (_, elements, _) in enumerate(rounds)}
+            budgets = ({b + d for b in bounds for d in (-1, 0, 1)}
+                       | set(range(1, 65)) | set(range(1, orbit.size, 97)))
+            for max_orbit in sorted(b for b in budgets
+                                    if 1 <= b <= orbit.size + 1):
+                try:
+                    least = _expand(ids, _id_images, rounds, max_orbit)[0]
+                except OrbitBudgetError:
+                    with pytest.raises(OrbitBudgetError):
+                        canonical_form(f, gd, max_orbit=max_orbit)
+                else:
+                    assert canonical_form(f, gd, max_orbit=max_orbit).id \
+                        == least == orbit[0]
+
 
 class TestOrbits:
     @pytest.mark.parametrize("name,k,n,count", [
@@ -437,11 +478,12 @@ class TestOrbitOracles:
     @pytest.mark.parametrize("name,k,n", [("ge", 2, 5), ("cf", 2, 7),
                                           ("s", 3, 4), ("ge", 15, 1),
                                           ("ge", 16, 1), ("g", 3, 3),
-                                          ("cf", 2, 6)])
+                                          ("cf", 2, 6), ("ge", 4, 2)])
     def test_canonical_form_is_element_minimum(self, name, k, n):
-        # the id expansion runs up to 2^63 functions (P_2^5, P_15^1 and
-        # P_3^3); above, the row expansion keys P_2^6 on the packed id and
-        # P_16^1, P_2^7 and P_3^4 on the row bytes, last cell first
+        # the id expansion runs up to 2^63 functions (P_2^5, P_4^2, P_15^1
+        # and P_3^3), reading P_2^5's and P_4^2's chunk digits as bytes;
+        # above, the row expansion keys P_2^6 on the packed id and P_16^1,
+        # P_2^7 and P_3^4 on the row bytes, last cell first
         gd = GroupDescriptor(name, k, n)
         rng = random.Random(7)
         f = KFunction(k, n, bytes(rng.randrange(k) for _ in range(k ** n)))
@@ -493,12 +535,12 @@ class TestOrbitBfs:
 
 
 class TestIdDtype:
-    # each space's ids in the narrowest unsigned dtype that holds them, at
-    # least uint16: P_2^3 at the floor, P_2^4's 2^16 ids exactly filling
-    # uint16, P_7^1 in uint32, P_3^3 and P_15^1 (expansion only) in uint64;
-    # ge holds the output translations cf, lf the added linear functions,
-    # and both send id 0 and the largest id elsewhere
-    @pytest.mark.parametrize("k,n,dtype", [(2, 3, np.uint16),
+    # each space's ids in the narrowest unsigned dtype that holds them:
+    # P_2^3's 256 ids exactly filling uint8, P_2^4's 2^16 uint16, P_7^1 in
+    # uint32, P_3^3 and P_15^1 (expansion only) in uint64; ge holds the
+    # output translations cf, lf the added linear functions, and both send
+    # id 0 and the largest id elsewhere
+    @pytest.mark.parametrize("k,n,dtype", [(2, 3, np.uint8),
                                            (2, 4, np.uint16),
                                            (3, 2, np.uint16),
                                            (7, 1, np.uint32),
@@ -551,6 +593,31 @@ class TestIdPermutations:
             assert (np.bincount(perm, minlength=size) == 1).all()
             expected = [t.apply(KFunction.from_id(x, k, n)).id for x in ids]
             assert perm[list(ids)].tolist() == expected, t
+
+    # P_2^4, P_2^5 and P_4^2 read each chunk's digit as a byte of the id
+    # (tables of 256 entries), P_3^2 and P_3^3 divide (243 and fewer)
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (4, 2), (3, 2), (3, 3)])
+    def test_images_match_apply(self, k, n):
+        size = k ** k ** n
+        rng = random.Random(f"images{k}{n}")
+        xs = [0, size - 1, *(rng.randrange(size) for _ in range(6))]
+        fs = [KFunction.from_id(x, k, n) for x in xs]
+        for part in _PARTS:
+            if part in ("lg", "units") and not _is_prime(k):
+                continue
+            for (maps, _), (tables, elements, _) in zip(
+                    _merged(part, k, n), _part_rounds(_id_action, part, k, n)):
+                assert all(table.flags.f_contiguous for table in tables)
+                assert all(table.shape[1] == 256
+                           for table in tables) == (k != 3)
+                ts = [Transformation(k, n, dom, out) for dom, out
+                      in zip(maps[0].tolist(), maps[1].tolist())]
+                expected = [[t.apply(f).id for t in ts] for f in fs]
+                for dtype in (_id_dtype(size), np.intp):
+                    images = _id_images(np.array(xs, dtype), tables)
+                    assert images.dtype == _id_dtype(size)
+                    assert images.reshape(len(xs), elements).tolist() == \
+                        expected, (part, dtype)
 
 
 # -- the factorizations behind both orbit passes, against group_elements
