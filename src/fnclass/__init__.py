@@ -23,8 +23,7 @@ from .diagrams import (Implementation, OrderedDiagram, build_odt, depth,
                        implementations, implementations_of, path_count, reduce,
                        to_dot)
 from .classify import (ClassificationReport, class_counts, classify_space,
-                       compute_profile, imp_signature, refinement_check,
-                       scan_space)
+                       compute_profile, refinement_check, scan_space)
 from .groups import (GroupDescriptor, Transformation, canonical_form,
                      count_orbits, group_elements, group_generators,
                      orbit_minima, orbit_partition, output_image)
@@ -52,6 +51,6 @@ __all__ = [
     "canonical_form", "count_orbits", "orbit_partition", "orbit_minima",
     "output_image",
     "ClassificationReport", "classify_space", "scan_space", "class_counts",
-    "refinement_check", "imp_signature", "compute_profile",
+    "refinement_check", "compute_profile",
     "reproduce_table", "run_checks",
 ]

@@ -1,21 +1,13 @@
 """Classification of function spaces by implementation, subfunction and
 separability profiles, and by transformation-group orbits.
 
-Every classification keys the implementation equivalence by the
-implementation count, with the essential count settling ess <= 1
-(`_block_rows`, `imp_key`): that is the partition of the reference tables.
-The recursive definition (two functions with more than one essential
-variable are equivalent when their essential variables can be matched so
-that, per variable, the k cofactors are equivalent up to a value
-permutation) is strictly finer, 214 parts against 104 on P_2^4.  Its
-canonical signature `imp_signature` (the sorted multiset, over essential
-variables, of the sorted multiset of the cofactor signatures) classifies
-nothing here; `verify` checks it against the direct search and for
-invariance.
-
-Subfunction equivalence compares the sub_m count vectors (with the range
-rule for single-variable functions); separability equivalence compares the
-sep_m vectors.  Both degenerate to comparing essential counts at ess <= 1.
+The three relations are the classes with the same number of
+implementations, subfunctions or separable sets: implementation
+equivalence compares the implementation count, subfunction equivalence the
+sub_m count vectors (with the range rule for single-variable functions),
+separability equivalence the sep_m vectors.  Below two essential variables
+each count depends only on the essential count (and, for sub, the range),
+so that is the key there (`_block_rows`, `_key`).
 
 All three are invariant under the genus group g (variable permutations and
 argument translations), so a whole-space scan reads one function per
@@ -27,7 +19,6 @@ builder writes every report, the group orbits' and the P_2^5 sep join's
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -42,66 +33,9 @@ from .separability import ComplexityProfile, sep_vector, sub_vector
 
 RELATIONS = ("imp", "sub", "sep")
 
-# signatures kept for reuse by the recursion and by repeated calls; the
-# least recently used one is dropped beyond this many
-_SIG_CACHE_SIZE = 1 << 14
-
-
-@functools.lru_cache(maxsize=_SIG_CACHE_SIZE)
-def imp_signature(f: KFunction) -> bytes:
-    """Canonical form of the recursive implementation equivalence.
-
-    Equal signatures are equivalent to the existence of the matching in the
-    definition (checked against the direct search oracle on small spaces).
-    Functions whose essential counts differ never share a signature.
-    """
-    ess = sorted(f.essential_set())
-    if len(ess) <= 1:
-        return b"L%d" % len(ess)
-    descriptors = sorted(
-        b"[" + b",".join(sorted(imp_signature(f.cofactor(i, j))
-                                for j in range(f.k))) + b"]"
-        for i in ess)
-    return b"{" + b",".join(descriptors) + b"}"
-
-
-def imp_equivalent_direct(f: KFunction, g: KFunction) -> bool:
-    """Literal decision of the recursive definition by explicit search.
-
-    Tries every bijection between the essential variable sets and, per
-    matched pair, every value permutation.  Exponential; this is the
-    independent oracle guarding imp_signature, not a production path.
-    """
-    memo: dict[tuple[bytes, bytes], bool] = {}
-
-    def rec(a: KFunction, b: KFunction) -> bool:
-        ea, eb = sorted(a.essential_set()), sorted(b.essential_set())
-        if len(ea) != len(eb):
-            return False
-        if len(ea) <= 1:
-            return True
-        key = (a.values, b.values)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        memo[key] = False  # pessimistic default while exploring
-        k = a.k
-        result = False
-        for perm in itertools.permutations(eb):
-            if all(any(all(rec(a.cofactor(i, j), b.cofactor(pi, sigma[j]))
-                           for j in range(k))
-                       for sigma in itertools.permutations(range(k)))
-                   for i, pi in zip(ea, perm)):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return rec(f, g)
-
 
 # ---------------------------------------------------------------------------
-# per-function class keys
+# class keys
 # ---------------------------------------------------------------------------
 
 def _key(rel: str, k: int, row: list[int]) -> tuple:
@@ -150,33 +84,6 @@ def _block_rows(keys: np.ndarray, k: int, n: int, relations) -> dict:
             value = bitops.sep_counts(lattice.masks, n)
         out[rel] = np.hstack([low, value])
     return out
-
-
-def _function_key(f: KFunction, rel: str) -> tuple:
-    keys = bitops.row_keys(np.frombuffer(f.values, dtype=np.uint8)[None], f.k)
-    row = _block_rows(keys, f.k, f.n, (rel,))[rel][0]
-    return _key(rel, f.k, row.tolist())
-
-
-def sub_key(f: KFunction) -> tuple:
-    return _function_key(f, "sub")
-
-
-def sep_key(f: KFunction) -> tuple:
-    return _function_key(f, "sep")
-
-
-def imp_key(f: KFunction) -> tuple:
-    """Class key of the implementation-count equivalence.
-
-    The reference classifications group functions by their implementation
-    count (with the essential count settling the degenerate cases), and on
-    P_2^3 that partition provably coincides with the recursive definition
-    rendered by imp_signature.  On P_2^4 the recursive reading is strictly
-    finer (214 parts against the reference 104), so the count is the
-    operative key and imp_signature remains available as the refinement.
-    """
-    return _function_key(f, "imp")
 
 
 # ---------------------------------------------------------------------------

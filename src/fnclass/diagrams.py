@@ -103,6 +103,9 @@ class OrderedDiagram:
     def eval(self, point) -> int:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
+        for a in point:
+            if not 0 <= a < self.k:
+                raise ValueError(f"coordinate {a} out of range for Z_{self.k}")
         node = self.nodes[self.root]
         while node[0] == "N":
             node = self.nodes[node[2][point[node[1] - 1]]]

@@ -16,6 +16,7 @@ therefore plain table equality.
 
 from __future__ import annotations
 
+import string
 from typing import Iterable, Mapping, Sequence
 
 from . import bitops
@@ -127,7 +128,11 @@ class KFunction:
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "KFunction":
-        w = int(text, 16)
+        """Binary table from bare hex digits: no `0x`, sign or `_`."""
+        digits = text.strip()
+        if not set(digits) <= set(string.hexdigits):
+            raise ValueError(f"hex table {text!r} is not bare hex digits")
+        w = int(digits, 16)
         if w >= 1 << (1 << n):
             raise ValueError(f"hex table {text!r} too wide for n = {n}")
         return cls.from_word(w, n)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import bitops
 from . import diagrams as dg
 from . import separability as sp
-from .classify import imp_equivalent_direct, imp_signature, scan_space, refinement_check
+from .classify import refinement_check, scan_space
 from .groups import (GroupDescriptor, _nth_permutation, group_element,
                      output_image)
 from .kfun import KFunction, space_size
@@ -413,8 +413,7 @@ def _check_fullsym_invariance(pools, mutant, rng, census):
                 yield k, n, fns if len(fns) <= 220 else rng.sample(fns, 220)
 
     def measures(f):
-        return (dg.imp_count(f), sp.sub_vector(f), sp.sep_vector(f),
-                imp_signature(f))
+        return dg.imp_count(f), sp.sub_vector(f), sp.sep_vector(f)
 
     def cases(k, n, f):
         base = measures(f)
@@ -455,30 +454,6 @@ def _check_refinements(pools, mutant, rng, census):
     return True, checked, None
 
 
-def _check_signature_oracle(pools, mutant, rng, census):
-    """imp_signature equality must coincide with the direct recursive search."""
-    checked = 0
-    for k, n, fns in pools:
-        if k != 2 or not 2 <= n <= 3 or \
-                len(fns) != space_size(k, n, EXHAUSTIVE_POOL):
-            continue
-        groups: dict[bytes, list[KFunction]] = {}
-        for f in fns:
-            groups.setdefault(imp_signature(f), []).append(f)
-        reps = [fs[0] for fs in groups.values()]
-        for sig, members in groups.items():
-            rep = members[0]
-            for other in members[1:]:
-                checked += 1
-                if not imp_equivalent_direct(rep, other):
-                    return False, checked, other.table_text()
-        for a, b in itertools.combinations(reps, 2):
-            checked += 1
-            if imp_equivalent_direct(a, b):
-                return False, checked, f"{a.table_text()}~{b.table_text()}"
-    return True, checked, None
-
-
 def _check_profile_consistency(pools, mutant, rng, census):
     def cases(k, n, f):
         sep, ess = sp.sep_vector(f), f.ess()
@@ -509,7 +484,6 @@ CHECKS = [
     ("non-bijective-map-breaks-invariance", _check_non_bijective_breaks),
     ("symmetric-transform-invariance", _check_fullsym_invariance),
     ("classification-refinements", _check_refinements),
-    ("signature-vs-direct-recursion", _check_signature_oracle),
     ("profile-consistency", _check_profile_consistency),
 ]
 
@@ -526,7 +500,8 @@ CHECK_NOTES = {
 def run_checks(k: int = 2, n_exhaustive: int = 3, n_sampled: int = 4,
                samples: int = 200, seed: int = 0, mutant: str | None = None,
                names: list[str] | None = None, extra_pools=None) -> VerifyRun:
-    """Run the named checks (all by default) over the configured sweep."""
+    """Run the named checks (all of them if `names` is None) over the
+    configured sweep."""
     if mutant is not None and mutant not in MUTANTS:
         raise ValueError(f"unknown mutant {mutant!r}; choose from {MUTANTS}")
     unknown = set(names or ()) - {name for name, _ in CHECKS}
@@ -539,7 +514,7 @@ def run_checks(k: int = 2, n_exhaustive: int = 3, n_sampled: int = 4,
     run = VerifyRun()
     census = cache(_census)  # each (f, mutant) built once per call
     for name, fn in CHECKS:
-        if names and name not in names:
+        if names is not None and name not in names:
             continue
         passed, checked, cex = fn(pools, mutant, rng, census)
         run.results.append(CheckResult(name, passed, checked, cex,

@@ -1,4 +1,3 @@
-import itertools
 import json
 from collections import Counter
 
@@ -8,9 +7,8 @@ import pytest
 from fnclass import bitops
 from fnclass.bitops import group_rows
 from fnclass.classify import (RELATIONS, _block_rows, _key, _key_str,
-                              class_counts, classify_space,
-                              imp_equivalent_direct, imp_key, imp_signature,
-                              refinement_check, scan_space, sep_key, sub_key)
+                              class_counts, classify_space, refinement_check,
+                              scan_space)
 from fnclass.diagrams import imp_count
 from fnclass.groups import GroupDescriptor, orbit_partition
 from fnclass.kfun import KFunction
@@ -52,89 +50,38 @@ P32_CLASSES = {
 }
 
 
-class TestImpSignature:
-    def test_constants_share_signature(self):
-        assert imp_signature(KFunction.constant(2, 2, 0)) == \
-            imp_signature(KFunction.constant(2, 2, 1))
-
-    def test_product_class_members_share_signature(self):
-        assert imp_signature(parse("x1*x2", 2)) == \
-            imp_signature(parse("x1^0 + x1*x2^0", 2))
-
-    def test_witness_pair_distinct(self):
-        assert imp_signature(parse("x1*x2*x3", 2)) != \
-            imp_signature(parse("x1*x2^0*x3^0 + x1", 2))
-
-    def test_padding_invariance(self):
-        assert imp_signature(parse("x1*x2", 2)) == \
-            imp_signature(parse("x1*x2", 2, arity=3))
-
-    def test_ess_counts_never_mix(self):
-        assert imp_signature(parse("x1", 2, arity=2)) != \
-            imp_signature(KFunction.constant(2, 2, 0))
-
-    def test_cache_stays_bounded(self):
-        bound = imp_signature.cache_info().maxsize
-        early = [KFunction.from_id(i, 2, 4) for i in range(1, 1 << 16, 211)]
-        before = [imp_signature(f) for f in early]
-        filler = range(0, 1 << 16, 3)  # more P_2^4 functions than the bound
-        assert len(filler) > bound
-        for ident in filler:
-            imp_signature(KFunction.from_id(ident, 2, 4))
-        assert imp_signature.cache_info().currsize <= bound
-        misses = imp_signature.cache_info().misses
-        assert [imp_signature(f) for f in early] == before
-        assert imp_signature.cache_info().misses > misses  # some were evicted
-        assert imp_signature.cache_info().currsize <= bound
-
-    def test_matches_direct_recursion_on_p22(self):
-        # partition-level agreement with the explicit search oracle
-        fns = [KFunction.from_id(i, 2, 2) for i in range(16)]
-        groups = {}
-        for f in fns:
-            groups.setdefault(imp_signature(f), []).append(f)
-        assert len(groups) == 4
-        reps = [members[0] for members in groups.values()]
-        for members in groups.values():
-            for other in members[1:]:
-                assert imp_equivalent_direct(members[0], other)
-        for a, b in itertools.combinations(reps, 2):
-            assert not imp_equivalent_direct(a, b)
-
-    def test_strictly_finer_than_count_at_n4(self):
-        # the recursive reading splits the reference 104 into 214 parts
-        sigs = set()
-        counts = set()
-        for ident in range(0, 65536, 17):
-            f = KFunction.from_id(ident, 2, 4)
-            sigs.add(imp_signature(f))
-            counts.add(imp_key(f))
-        assert len(sigs) > len(counts)
+def row_key(f: KFunction, rel: str) -> tuple:
+    """`f`'s class key under `rel`, read off its one-function block row."""
+    keys = bitops.row_keys(np.frombuffer(f.values, dtype=np.uint8)[None], f.k)
+    row = _block_rows(keys, f.k, f.n, (rel,))[rel][0]
+    return _key(rel, f.k, row.tolist())
 
 
 class TestKeys:
     def test_sub_key_range_rule_for_unary_k3(self):
         up = KFunction(3, 1, [0, 1, 2])     # range {0,1,2}
         two = KFunction(3, 1, [0, 1, 1])    # range {0,1}
-        assert sub_key(up) != sub_key(two)
-        assert sub_key(two) == sub_key(KFunction(3, 1, [1, 0, 0]))
+        assert row_key(up, "sub") != row_key(two, "sub")
+        assert row_key(two, "sub") == \
+            row_key(KFunction(3, 1, [1, 0, 0]), "sub")
 
     def test_sub_key_constants_merge_regardless_of_value(self):
-        assert sub_key(KFunction.constant(3, 1, 0)) == \
-            sub_key(KFunction.constant(3, 1, 2))
+        assert row_key(KFunction.constant(3, 1, 0), "sub") == \
+            row_key(KFunction.constant(3, 1, 2), "sub")
 
     def test_sep_key_low_ess(self):
-        assert sep_key(KFunction.constant(2, 2, 0)) != \
-            sep_key(parse("x1", 2, arity=2))
+        assert row_key(KFunction.constant(2, 2, 0), "sep") != \
+            row_key(parse("x1", 2, arity=2), "sep")
 
     @pytest.mark.parametrize("k", [65, 100, 256])
     def test_sub_key_range_above_64_values(self, k):
         # the range is kept as the values present, not as a 64-bit set
         def unary(top):
             return KFunction(k, 1, [0, top] + [0] * (k - 2))
-        assert sub_key(unary(64)) == ("E1", (0, 64))
-        assert sub_key(unary(k - 1)) == ("E1", (0, k - 1))
-        assert sub_key(KFunction(k, 1, range(k))) == ("E1", tuple(range(k)))
+        assert row_key(unary(64), "sub") == ("E1", (0, 64))
+        assert row_key(unary(k - 1), "sub") == ("E1", (0, k - 1))
+        assert row_key(KFunction(k, 1, range(k)), "sub") == \
+            ("E1", tuple(range(k)))
 
 
 class TestGroupRows:
@@ -178,18 +125,17 @@ class TestGroupRows:
 
     def test_block_keys_group_like_unique(self):
         # P_2^3 in one block: equal rows are equal keys, and each
-        # function's row index names the key its own single-function call
-        # gives
-        tables = bitops.tables_from_ids(np.arange(256), 2, 3)
-        for rel, rows in _block_rows(bitops.row_keys(tables, 2), 2, 3,
+        # function's row is the one its own one-function block gives
+        keys = bitops.row_keys(bitops.tables_from_ids(np.arange(256), 2, 3), 2)
+        for rel, rows in _block_rows(keys, 2, 3,
                                      ("imp", "sub", "sep")).items():
             first, index = group_rows(rows)
-            keys = [_key(rel, 2, row) for row in rows[first].tolist()]
-            assert len(set(keys)) == len(keys) == index.max() + 1
-            assert np.array_equal(index[first], np.arange(len(keys)))
-            assert [keys[i] for i in index.tolist()] == [
-                {"imp": imp_key, "sub": sub_key, "sep": sep_key}[rel](
-                    KFunction.from_id(i, 2, 3)) for i in range(256)]
+            classes = [_key(rel, 2, row) for row in rows[first].tolist()]
+            assert len(set(classes)) == len(classes) == index.max() + 1
+            assert np.array_equal(index[first], np.arange(len(classes)))
+            for i in range(256):
+                alone = _block_rows(keys[i:i + 1], 2, 3, (rel,))[rel]
+                assert np.array_equal(alone, rows[i:i + 1])
 
 
 class TestClassifySpace:

@@ -76,6 +76,12 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze")
         assert code == 2
 
+    def test_hex_prefix_is_usage_error(self, capsys):
+        # four characters would otherwise read as the 4-variable table 00d8
+        code, out, err = run_cli(capsys, "analyze", "--table", "0xd8")
+        assert code == 2 and not out
+        assert "0xd8" in err
+
 
 class TestDiagram:
     def test_dot_output_and_stats(self, capsys, tmp_path):

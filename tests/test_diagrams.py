@@ -187,6 +187,14 @@ class TestReduce:
             for point in itertools.product(range(2), repeat=3):
                 assert d.eval(point) == f.eval(point)
 
+    @pytest.mark.parametrize("point", [(1, -1), (0, 5), (2, 0)])
+    def test_eval_rejects_out_of_range_coordinates(self, point):
+        f = parse("x1*x2", 2)
+        d = dg.reduce(dg.build_odt(f, (1, 2)))
+        for g in (f, d):
+            with pytest.raises(ValueError, match="out of range for Z_2"):
+                g.eval(point)
+
     def test_labels_equal_essential_set(self):
         padded = parse("x1 + x2", 2, arity=3)
         d = dg.reduce(dg.build_odt(padded, (1, 2, 3)))

@@ -199,6 +199,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             KFunction.from_hex("1ff", 3)
 
+    @pytest.mark.parametrize("text", ["0xd8", "+d8", "d_8"])
+    def test_hex_takes_bare_digits_only(self, text):
+        # int(text, 16) alone reads each of these as d8
+        with pytest.raises(ValueError):
+            KFunction.from_hex(text, 3)
+
     @pytest.mark.parametrize("k,n", [(2, 0), (2, 1), (2, 3), (2, 5), (3, 1),
                                      (3, 2), (5, 1), (7, 1)])
     def test_bulk_texts_match_table_text(self, k, n):

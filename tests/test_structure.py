@@ -33,6 +33,14 @@ def test_imports_at_module_level(path):
     assert not nested, f"imports inside functions at lines {nested}"
 
 
+def test_all_names_resolve():
+    # every export exists and is public: a deleted function's name fails
+    missing = [name for name in fnclass.__all__
+               if not hasattr(fnclass, name)]
+    private = [name for name in fnclass.__all__ if name.startswith("_")]
+    assert not missing and not private, (missing, private)
+
+
 def test_scan5_is_a_leaf_of_bitops_and_groups():
     path = Path(fnclass.__file__).parent / "scan5.py"
     package = set()

@@ -52,6 +52,11 @@ def test_mutant_name_validated():
         run_checks(mutant="bogus")
 
 
+def test_no_names_runs_no_check():
+    # only None means every check
+    assert run_checks(k=2, n_exhaustive=1, n_sampled=0, names=[]).results == []
+
+
 def test_check_names_validated():
     # a misspelt name must not pass by running nothing
     with pytest.raises(ValueError, match="cofactor-law'"):
@@ -175,17 +180,17 @@ def pinned(counts, failures):
 PINNED_SWEEPS = [
     (dict(k=2, n_exhaustive=2, n_sampled=3, samples=40),
      pinned([404, 62, 279, 4, 8, 204, 204, 4, 299, 278, 394, 62, 62, 62, 62,
-             233, 124, 3, 2192, 4, 18, 62], {})),
+             233, 124, 3, 2192, 4, 62], {})),
     (dict(k=2, n_exhaustive=2, n_sampled=3, samples=40,
           mutant="no-remove-rule"),
      pinned([404, 62, 279, 4, 8, 204, 204, 4, 299, 3, 394, 23, 62, 62, 62,
-             54, 124, 3, 2192, 4, 18, 62],
+             54, 124, 3, 2192, 4, 62],
             {"label-lemma": "0",
              "separable-iff-tail-implementation-suffix": "c5",
              "depth-theorems": "c5"})),
     (dict(k=3, n_exhaustive=1, n_sampled=2, samples=30),
      pinned([321, 60, 114, 0, 0, 200, 200, 0, 264, 90, 354, 60, 60, 60, 60,
-             144, 360, 2, 2412, 2, 0, 60], {})),
+             144, 360, 2, 2412, 2, 60], {})),
 ]
 
 
