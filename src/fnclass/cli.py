@@ -51,11 +51,11 @@ def _load_function(args) -> KFunction:
     if args.k == 2:
         if args.n is None:
             # infer the arity from the hex width: 2^n bits = 4 * digits
-            bits = 4 * len(args.table.strip())
-            n = bits.bit_length() - 1
-            if 1 << n != bits:
+            digits = len(args.table.strip())
+            n = (4 * digits).bit_length() - 1
+            if 1 << n != 4 * digits:
                 raise SystemExit2(
-                    f"cannot infer arity from {len(args.table)} hex digits; pass --n")
+                    f"cannot infer arity from {digits} hex digits; pass --n")
         else:
             n = args.n
         return KFunction.from_hex(args.table, n)

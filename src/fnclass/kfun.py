@@ -17,6 +17,7 @@ therefore plain table equality.
 from __future__ import annotations
 
 import string
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import bitops
@@ -27,6 +28,12 @@ PartialAssignment = Mapping[int, int]
 
 #: Refuse to materialize tables above this many cells.
 DEFAULT_MAX_CELLS = 2 ** 32
+
+
+@lru_cache(maxsize=1 << 12)
+def var_set(mask: int) -> VarSet:
+    """The variable set of a bit mask: i + 1 for each set bit i."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _check_space(k: int, n: int) -> None:
@@ -238,8 +245,7 @@ class KFunction:
                     >> (i - 1) & 1)
 
     def essential_set(self) -> VarSet:
-        m = bitops.essential_mask(self.values, self.k, self.n)
-        return frozenset(i + 1 for i in range(self.n) if m >> i & 1)
+        return var_set(bitops.essential_mask(self.values, self.k, self.n))
 
     def ess(self) -> int:
         return len(self.essential_set())

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import bitops
-from .kfun import KFunction, VarSet
+from .kfun import KFunction, VarSet, var_set
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,8 @@ def sub_vector(f: KFunction) -> tuple[int, ...]:
 def separable_sets(f: KFunction) -> set[VarSet]:
     """Sep(f) = { Ess(g) : g in Sub(f), Ess(g) non-empty }."""
     masks = set(bitops.function_lattice(f).masks[:, 0].tolist())
-    return {frozenset(i + 1 for i in range(f.n) if m >> i & 1)
-            for m in masks if m}
+    masks.discard(0)
+    return set(map(var_set, masks))
 
 
 def sep_vector(f: KFunction) -> tuple[int, ...]:

@@ -82,6 +82,12 @@ class TestAnalyze:
         assert code == 2 and not out
         assert "0xd8" in err
 
+    def test_arity_error_counts_the_stripped_digits(self, capsys):
+        # " abc" is 3 hex digits once stripped, which no 2^n bits fill
+        code, out, err = run_cli(capsys, "analyze", "--table", " abc")
+        assert code == 2 and not out
+        assert "3 hex digits" in err
+
 
 class TestDiagram:
     def test_dot_output_and_stats(self, capsys, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnclass.kfun import KFunction, from_values, space_size, table_texts
+from fnclass.kfun import (KFunction, from_values, space_size, table_texts,
+                          var_set)
 
 # the worked pair used across the suite, tables fixed by hand from the
 # defining expressions (index = a1 + 2*a2 + 4*a3)
@@ -117,6 +118,11 @@ class TestEssential:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             f_example().is_essential(0)
+
+    def test_var_set_reads_every_mask(self):
+        for m in range(1 << 10):
+            want = frozenset(i + 1 for i in range(10) if m >> i & 1)
+            assert var_set(m) == want
 
 
 class TestStronglyEssential:

@@ -1,7 +1,11 @@
+import re
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fnclass import spform
 from fnclass.kfun import KFunction
 from fnclass.spform import SPSyntaxError, parse, to_sp
 
@@ -161,6 +165,47 @@ def test_syntax_error_message_and_position(text, k, message, position):
         (f"{message} (at position {position})", position)
 
 
+#: The characters of SP text, a stray letter and other spaces: "٣" is a
+#: decimal digit and U+00A0 a space.
+ALPHABET = "x^*+⊕0123٣ \t\n\u00a0y"
+FACTORS = ["x1", "x2", "x2^1", "x1^3", " x ٣ ^ 0 ", "\u00a0x\t1", "1",
+           "2"]
+SEPARATORS = ["*", " + ", "⊕", "\n*", "\t+ "]
+
+
+@st.composite
+def sp_texts(draw):
+    """Up to five factors with a separator between each two, any of them
+    replaced, one time in five, by up to three characters of ALPHABET."""
+    def piece(valid):
+        if draw(st.integers(0, 4)):
+            return draw(st.sampled_from(valid))
+        return draw(st.text(ALPHABET, max_size=3))
+    pieces = [piece(FACTORS)]
+    for _ in range(draw(st.integers(0, 4))):
+        pieces += [piece(SEPARATORS), piece(FACTORS)]
+    return "".join(pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 4), sp_texts())
+def test_split_and_locator_accept_the_same_text(k, text):
+    # parse splits the text at its separators and reads factor by factor;
+    # the match-by-match locator must reject exactly what that rejects
+    assume(all(int(d) <= 6 for d in re.findall(r"\d+", text)))  # <= 4^6 cells
+    try:
+        spform._locate(text, k)
+        located = None
+    except SPSyntaxError as err:
+        located = (str(err), err.position)
+    try:
+        parse(text, k)
+    except SPSyntaxError as err:
+        assert (str(err), err.position) == located
+    else:
+        assert located is None
+
+
 def evaluate(terms, k: int, n: int) -> bytes:
     """Truth table of [(coefficient, [(index, exponent or None)])], point by
     point, variable 1 the least significant digit."""
@@ -218,6 +263,18 @@ def test_parse_matches_pointwise_evaluation(case):
     assert f.values == evaluate(terms, k, arity)
 
 
+@settings(max_examples=100, deadline=None)
+@given(expressions())
+def test_one_term_and_one_row_at_a_time(case):
+    # TERM_CELLS = 1 evaluates each term, and fills each table row, alone,
+    # so every term after the first adds to rows already written
+    text, k, arity, terms = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spform, "TERM_CELLS", 1)
+        f = parse(text, k, arity=arity)
+    assert f.values == evaluate(terms, k, arity)
+
+
 def test_repeated_factors_on_one_variable():
     # x1*x1^0 is 0 everywhere; x^p * [x = a] is a^p at x = a
     assert parse("x1*x1^0", 3).values == bytes(3)
@@ -234,3 +291,16 @@ def test_large_arity_evaluates_in_chunks():
         want = sum(cell >> (i - 1) & 1 and not cell >> i & 1
                    for i in range(1, 18)) % 2
         assert f.n == 18 and f.values[cell] == want
+
+
+def test_wide_table_memory_stays_near_its_size():
+    # the 4 MiB table of P_2^22 is filled a block of rows at a time, so
+    # no int64 table or per-term product of its size is ever allocated
+    tracemalloc.start()
+    try:
+        f = parse("x1*x22 + x2", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values[1 << 21 | 1] == 1 and f.values[2] == 1
+    assert peak < 32 << 20
